@@ -14,9 +14,71 @@
 
 namespace trienum::core {
 
+namespace {
+
+/// Step 2's output: the edges grouped by color class (tau1, tau2) in
+/// `edges`, class k = tau1 * c + tau2 at [offsets[k], offsets[k + 1]).
+struct ColorBuckets {
+  em::Array<std::uint64_t> offsets;
+  em::Array<graph::Edge> edges;
+};
+
+/// Step 2: colors every edge of `low` with `color` (one instantiation per
+/// coloring, so the per-edge color calls inline) and buckets the edges by
+/// color class.
+template <typename Color>
+ColorBuckets ColorAndBucket(em::QuerySession& ctx, em::Array<graph::Edge> low,
+                            std::uint32_t c, const Color& color) {
+  using graph::ColoredEdge;
+  using graph::Edge;
+  // Colors attached once (stored with the edge, then stripped after the
+  // bucket sort so step 3 streams one-word edges as the paper assumes).
+  // The transform stays fused (read, color, push per record): its Scanner
+  // reads interleave with Writer flushes, and that interleaving is part of
+  // the pinned LRU charge sequence — batching reads ahead of the writes
+  // would perturb IoStats under capacity pressure. Parallelism enters this
+  // algorithm through charge-safe windows instead: run formation inside
+  // the ExternalMergeSort below and the Lemma 2 cone probes of step 3
+  // (see pivot_enum.h), both invariant in the thread count.
+  const std::size_t num_keys = static_cast<std::size_t>(c) * c;
+  ColorBuckets out;
+  obs::Span span("ca.coloring");
+  span.AddArg("colors", c);
+  em::Array<ColoredEdge> colored = ctx.Alloc<ColoredEdge>(low.size());
+  extsort::Transform(low, colored, [&](const Edge& e) {
+    return ColoredEdge{e.u, e.v, color(e.u), color(e.v)};
+  });
+  extsort::ExternalMergeSort(ctx, colored, graph::ColorClassLess{});
+
+  // Bucket offsets live on the device (c^2 + 1 words, built with one
+  // counting scan and a prefix sum), so no internal-memory assumption
+  // beyond the paper's is needed and their accesses are I/O-accounted.
+  out.offsets = ctx.Alloc<std::uint64_t>(num_keys + 1);
+  out.edges = ctx.Alloc<Edge>(low.size());
+  for (std::size_t k = 0; k <= num_keys; ++k) out.offsets.Set(k, 0);
+  {
+    em::Scanner<ColoredEdge> in(colored);
+    em::Writer<Edge> w(out.edges);
+    while (in.HasNext()) {
+      ColoredEdge e = in.Next();
+      std::size_t key = static_cast<std::size_t>(e.cu) * c + e.cv;
+      out.offsets.Set(key + 1, out.offsets.Get(key + 1) + 1);
+      w.Push(Edge{e.u, e.v});
+    }
+    w.Flush();  // step 3 reads `edges` below
+  }
+  std::uint64_t run = 0;
+  for (std::size_t k = 0; k <= num_keys; ++k) {
+    run += out.offsets.Get(k);
+    out.offsets.Set(k, run);
+  }
+  return out;
+}
+
+}  // namespace
+
 void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
                          TriangleSink& sink, const CacheAwareOptions& opts) {
-  using graph::ColoredEdge;
   using graph::Edge;
   using graph::VertexId;
 
@@ -65,69 +127,23 @@ void EnumerateCacheAware(em::QuerySession& ctx, const graph::EmGraph& g,
   while (static_cast<std::uint64_t>(c) * c * ctx.memory_words() < wlen) c <<= 1;
   if (opts.force_colors != 0) c = opts.force_colors;
 
-  ColorFn color;
+  ColorBuckets cb;
   if (opts.deterministic_coloring) {
-    DeterministicColoring det = BuildDeterministicColoring(ctx, low, c);
-    color = [det](VertexId v) { return det.Color(v); };
+    const DeterministicColoring det = BuildDeterministicColoring(ctx, low, c);
+    cb = ColorAndBucket(ctx, low, c,
+                        [&det](VertexId v) { return det.Color(v); });
   } else {
     std::uint64_t seed = opts.seed != 0 ? opts.seed : ctx.seed();
-    hashing::FourWiseHash h(seed);
-    std::uint32_t cc = c;
-    color = [h, cc](VertexId v) { return h.Color(v, cc); };
-  }
-
-  // Colors attached once (stored with the edge, then stripped after the
-  // bucket sort so step 3 streams one-word edges as the paper assumes).
-  // The transform stays fused (read, color, push per record): its Scanner
-  // reads interleave with Writer flushes, and that interleaving is part of
-  // the pinned LRU charge sequence — batching reads ahead of the writes
-  // would perturb IoStats under capacity pressure. Parallelism enters this
-  // algorithm through charge-safe windows instead: run formation inside
-  // the ExternalMergeSort below and the Lemma 2 cone probes of step 3
-  // (see pivot_enum.h), both invariant in the thread count.
-  const std::size_t num_keys = static_cast<std::size_t>(c) * c;
-  em::Array<std::uint64_t> offsets;
-  em::Array<Edge> buckets;
-  {
-    obs::Span span("ca.coloring");
-    span.AddArg("colors", c);
-    em::Array<ColoredEdge> colored = ctx.Alloc<ColoredEdge>(wlen);
-    extsort::Transform(low, colored, [&](const Edge& e) {
-      return ColoredEdge{e.u, e.v, color(e.u), color(e.v)};
-    });
-    extsort::ExternalMergeSort(ctx, colored, graph::ColorClassLess{});
-
-    // Bucket offsets live on the device (c^2 + 1 words, built with one
-    // counting scan and a prefix sum), so no internal-memory assumption
-    // beyond the paper's is needed and their accesses are I/O-accounted.
-    offsets = ctx.Alloc<std::uint64_t>(num_keys + 1);
-    buckets = ctx.Alloc<Edge>(wlen);
-    for (std::size_t k = 0; k <= num_keys; ++k) offsets.Set(k, 0);
-    {
-      em::Scanner<ColoredEdge> in(colored);
-      em::Writer<Edge> out(buckets);
-      while (in.HasNext()) {
-        ColoredEdge e = in.Next();
-        std::size_t key = static_cast<std::size_t>(e.cu) * c + e.cv;
-        offsets.Set(key + 1, offsets.Get(key + 1) + 1);
-        out.Push(Edge{e.u, e.v});
-      }
-      out.Flush();  // step 3 reads `buckets` below
-    }
-    {
-      std::uint64_t run = 0;
-      for (std::size_t k = 0; k <= num_keys; ++k) {
-        run += offsets.Get(k);
-        offsets.Set(k, run);
-      }
-    }
+    const hashing::FourWiseHash h(seed);
+    cb = ColorAndBucket(ctx, low, c,
+                        [&h, c](VertexId v) { return h.Color(v, c); });
   }
 
   auto bucket = [&](std::uint32_t a, std::uint32_t b) {
     std::size_t key = static_cast<std::size_t>(a) * c + b;
-    std::size_t lo = offsets.Get(key);
-    std::size_t hi = offsets.Get(key + 1);
-    return buckets.Slice(lo, hi - lo);
+    std::size_t lo = cb.offsets.Get(key);
+    std::size_t hi = cb.offsets.Get(key + 1);
+    return cb.edges.Slice(lo, hi - lo);
   };
 
   // ---- Step 3: Lemma 2 per color triple -------------------------------------

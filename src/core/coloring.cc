@@ -31,7 +31,7 @@ double Choose2(double n) { return n * (n - 1) / 2.0; }
 }  // namespace
 
 ColoringStats ComputeColoringStats(em::QuerySession& ctx, em::Array<graph::Edge> edges,
-                                   const ColorFn& color, std::uint32_t c) {
+                                   ColorFn color, std::uint32_t c) {
   ColoringStats out;
   const std::size_t m = edges.size();
   if (m == 0) return out;

@@ -10,15 +10,16 @@
 #define TRIENUM_CORE_COLORING_H_
 
 #include <cstdint>
-#include <functional>
 
+#include "common/function_ref.h"
 #include "em/array.h"
 #include "graph/types.h"
 
 namespace trienum::core {
 
-/// Vertex coloring abstraction: color in [0, num_colors).
-using ColorFn = std::function<std::uint32_t(graph::VertexId)>;
+/// Vertex coloring abstraction: color in [0, num_colors). A borrowed
+/// callable; pass the coloring lambda straight to the call.
+using ColorFn = FunctionRef<std::uint32_t(graph::VertexId)>;
 
 struct ColoringStats {
   double x_total = 0;    ///< X_xi: same-class edge pairs
@@ -31,7 +32,7 @@ struct ColoringStats {
 /// Computes X_xi and its adjacent/non-adjacent split for `edges` under
 /// `color` with c colors. O(sort(E)) I/Os.
 ColoringStats ComputeColoringStats(em::QuerySession& ctx, em::Array<graph::Edge> edges,
-                                   const ColorFn& color, std::uint32_t c);
+                                   ColorFn color, std::uint32_t c);
 
 /// Lemma 3's bound E*M on E[X_xi] (what the random coloring must meet in
 /// expectation) — for benches/tests.

@@ -16,24 +16,30 @@
 //     vertex is not colored tau1" a structural no-op;
 //   * ablation benches sweeping the chunk fraction alpha.
 //
-// Two loop engines share the chunk loading and indexing:
-//   * serial (threads=1, the default): the fused probe-as-you-scan loop —
-//     kept verbatim as its own small function so its codegen is untouched
-//     by the pool machinery;
-//   * pooled (par::SetThreads(N > 1)): neighbour collection issues the
-//     exact same Peek/Next charge sequence, then the role probes and the
-//     resident-run membership tests — pure reads of chunk-resident state —
-//     fan out over stable partitions with per-worker emit buffers flushed
-//     in partition order. Output order, IoStats and work counters are
-//     identical to the serial engine (pinned by tests/test_parallel.cc).
+// Two loop engines share the chunk loading, the indexing and the scan
+// scratch:
+//   * serial (threads=1, the default): each cone group's neighbours are
+//     consumed straight from the cone scanner's line buffer
+//     (em::Scanner::TakeRun, which charges the per-record Peek/Next loop's
+//     exact sequence at O(1) simulator calls per buffered line), and each
+//     neighbour's roles are looked up inline as it arrives — one
+//     FlatVertexMap probe per cone edge per chunk, the hottest host loop of
+//     Lemma 2;
+//   * pooled (par::SetThreads(N > 1)): the same TakeRun collection, then the
+//     role probes (batched ProbeFlatMapU32 calls) and the resident-run
+//     membership tests — pure reads of chunk-resident state — fan out over
+//     stable partitions with per-worker emit buffers flushed in partition
+//     order. Output order, IoStats and work counters are identical to the
+//     serial engine (pinned by tests/test_parallel.cc).
 //
-// Both engines drive the src/simd/ two-regime intersection kernels: the
-// cone-stream role probes go through batched flat-map lookups, and the
-// emit phase intersects each resident pivot run against Gamma_3 either by
-// merge kernel or — when Gamma_3 is large and dense (the high-degree-hub
-// shape) — through a per-group offset bitmap. Kernel variant and regime
-// are pure host-performance choices: output order, work totals, and the
-// Peek/Next charge sequence are identical with kernels on or off
+// Both engines drive the src/simd/ two-regime intersection kernels: the emit
+// phase intersects each resident pivot run against Gamma_3 either by merge
+// kernel or — when Gamma_3 is large and dense (the high-degree-hub shape) —
+// through a per-group offset bitmap. The kernel variant is resolved once per
+// PivotEnumerate call and its kernels are called directly; each cone scan
+// adds its kernel calls to the variant's invocation counter once. Kernel
+// variant and regime are pure host-performance choices: output order, work
+// totals and I/O charges are identical with kernels on or off
 // (tests/test_simd_invariance.cc).
 #ifndef TRIENUM_CORE_PIVOT_ENUM_H_
 #define TRIENUM_CORE_PIVOT_ENUM_H_
@@ -154,6 +160,15 @@ struct ResidentChunk {
   /// records, orders of magnitude below.)
   FlatVertexMap roles;
 
+  // Cone-scan scratch, reused by every chunk scan of one PivotEnumerate
+  // call. Gamma_v split by role: u-side neighbours carry their resolved
+  // `ranges` index (no re-probe in the emit loop), w-side is membership
+  // only.
+  std::vector<std::pair<graph::VertexId, std::uint32_t>> g2;
+  std::vector<graph::VertexId> g3;
+  std::vector<std::uint32_t> match;  // one run's kernel match output
+  simd::DenseBitmap bitmap;          // Gamma_3 in the dense regime
+
   void Load(em::QuerySession& ctx, em::Array<EdgeT> pivot, std::size_t p0,
             std::size_t p1) {
     const std::size_t csize = p1 - p0;
@@ -190,18 +205,19 @@ struct ResidentChunk {
   }
 };
 
-/// The serial loop engine: the exact Peek/Next charge sequence of the old
-/// fused loop, with the pure host compute between charges reorganized into
-/// kernel batches — one ProbeFlatMapU32 call per cone group resolves every
-/// neighbour's roles, and the emit phase intersects each resident pivot run
-/// against Gamma_3 through the two-regime kernels. A pivot run's larger
-/// endpoints are strictly increasing (lex-sorted unique edges), so the
-/// kernels' ascending match output IS the old run-scan emit order; work is
-/// charged per batch with totals equal to the old per-item counts.
+/// The serial loop engine. Neighbour collection charges exactly what the
+/// per-record loop `while (HasNext() && U(Peek()) == v) Next()` charges
+/// (em::Scanner::TakeRun) while the roles are probed inline; the emit phase
+/// intersects each resident pivot run against Gamma_3 through the
+/// two-regime kernels. A pivot run's larger endpoints are strictly
+/// increasing (lex-sorted unique edges), so the kernels' ascending match
+/// output IS the run-scan emit order; work is charged per batch with totals
+/// equal to the per-item counts.
 template <typename EdgeT>
-void ScanConesSerial(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
-                     em::Array<EdgeT> cone_a, em::Array<EdgeT> cone_b,
-                     bool same_cone, TriangleSink& sink) {
+void ScanConesSerial(em::QuerySession& ctx, ResidentChunk<EdgeT>& rc,
+                     const simd::Kernels& kernels, em::Array<EdgeT> cone_a,
+                     em::Array<EdgeT> cone_b, bool same_cone,
+                     TriangleSink& sink) {
   using Access = graph::EdgeAccess<EdgeT>;
   using graph::VertexId;
   // One pass over the cone stream(s), grouped by cone vertex v.
@@ -215,14 +231,12 @@ void ScanConesSerial(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
   const std::pair<std::uint32_t, std::uint32_t>* const ranges =
       rc.ranges.data();
   const FlatVertexMap::View roles = rc.roles.view();
-  // Gamma_v split by role: u-side neighbours carry their resolved ranges
-  // index (no re-probe in the emit loop), w-side is membership only.
-  std::vector<std::pair<VertexId, std::uint32_t>> g2;
-  std::vector<VertexId> g3;
-  std::vector<VertexId> nbrs;       // one group's neighbours, arrival order
-  std::vector<std::uint32_t> role;  // their batch-probed role payloads
-  std::vector<std::uint32_t> match;  // one run's kernel match output
-  simd::DenseBitmap bitmap;
+  auto& g2 = rc.g2;
+  auto& g3 = rc.g3;
+  auto& match = rc.match;
+  simd::DenseBitmap& bitmap = rc.bitmap;
+  const auto cone_vertex = [](const EdgeT& e) { return Access::U(e); };
+  std::uint64_t kernel_calls = 0;
 
   while (sa.HasNext() || (!same_cone && sb.HasNext())) {
     VertexId v;
@@ -235,39 +249,19 @@ void ScanConesSerial(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
     }
     g2.clear();
     g3.clear();
-    // Neighbour collection keeps the old loop's Peek/Next sequence; the
-    // (pure) role probes move into one batched kernel call per group —
-    // still one probe per cone edge per chunk, the hottest host loop of
-    // Lemma 2.
-    nbrs.clear();
-    while (sa.HasNext() && Access::U(sa.Peek()) == v) {
-      nbrs.push_back(Access::V(sa.Next()));
-    }
-    ctx.AddWork(nbrs.size());
-    if (role.size() < nbrs.size()) role.resize(nbrs.size());
-    simd::ProbeFlatMapU32(roles.keys, roles.vals, roles.mask, nbrs.data(),
-                          nbrs.size(), role.data());
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const std::uint32_t r = role[i];
-      if (r != FlatVertexMap::kEmpty) {
-        if ((r >> 1) != 0) g2.emplace_back(nbrs[i], (r >> 1) - 1);
-        if (same_cone && (r & 1u) != 0) g3.push_back(nbrs[i]);
-      }
-    }
+    ctx.AddWork(sa.TakeRun(cone_vertex, v, [&](const EdgeT& e) {
+      const VertexId x = Access::V(e);
+      const std::uint32_t r = roles.Get(x);
+      if (r == FlatVertexMap::kEmpty) return;
+      if ((r >> 1) != 0) g2.emplace_back(x, (r >> 1) - 1);
+      if (same_cone && (r & 1u) != 0) g3.push_back(x);
+    }));
     if (!same_cone) {
-      nbrs.clear();
-      while (sb.HasNext() && Access::U(sb.Peek()) == v) {
-        nbrs.push_back(Access::V(sb.Next()));
-      }
-      ctx.AddWork(nbrs.size());
-      if (role.size() < nbrs.size()) role.resize(nbrs.size());
-      simd::ProbeFlatMapU32(roles.keys, roles.vals, roles.mask, nbrs.data(),
-                            nbrs.size(), role.data());
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (role[i] != FlatVertexMap::kEmpty && (role[i] & 1u) != 0) {
-          g3.push_back(nbrs[i]);
-        }
-      }
+      ctx.AddWork(sb.TakeRun(cone_vertex, v, [&](const EdgeT& e) {
+        const VertexId x = Access::V(e);
+        const std::uint32_t r = roles.Get(x);
+        if (r != FlatVertexMap::kEmpty && (r & 1u) != 0) g3.push_back(x);
+      }));
     }
     if (g2.empty() || g3.empty()) continue;
 
@@ -280,10 +274,11 @@ void ScanConesSerial(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
     // Emit phase: intersect each g2 entry's resident pivot run with g3.
     // Regime choice is per group — dense Gamma_3 builds one offset bitmap
     // reused across every run; sparse Gamma_3 goes through the merge
-    // kernel. Work is the run length, exactly the old per-element count.
+    // kernel. Work is the run length, exactly the per-element count.
     const simd::Regime regime =
         simd::ChooseRegime(g3.size(), g3.front(), g3.back());
     if (regime == simd::Regime::kBitmap) bitmap.Build(g3.data(), g3.size());
+    kernel_calls += g2.size();
     for (const auto& [u, ri] : g2) {
       const auto& range = ranges[ri];
       const std::uint32_t* run = vmax + range.first;
@@ -294,15 +289,15 @@ void ScanConesSerial(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
       }
       std::size_t m;
       if (regime == simd::Regime::kBitmap) {
-        m = bitmap.Probe(run, len, match.data());
+        m = (bitmap.*kernels.probe)(run, len, match.data());
       } else {
-        m = simd::IntersectSorted(run, len, g3.data(), g3.size(),
-                                  match.data())
+        m = kernels.intersect(run, len, g3.data(), g3.size(), match.data())
                 .matches;
       }
       for (std::size_t i = 0; i < m; ++i) sink.Emit(v, u, match[i]);
     }
   }
+  if (kernel_calls != 0) simd::CountInvocations(kernels.variant, kernel_calls);
 }
 
 /// The pooled loop engine: identical charges and output (see the header
@@ -310,9 +305,10 @@ void ScanConesSerial(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
 /// par pool. Work accounting moves from per-item to per-batch AddWork calls
 /// of equal totals.
 template <typename EdgeT>
-void ScanConesPooled(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
-                     em::Array<EdgeT> cone_a, em::Array<EdgeT> cone_b,
-                     bool same_cone, TriangleSink& sink) {
+void ScanConesPooled(em::QuerySession& ctx, ResidentChunk<EdgeT>& rc,
+                     const simd::Kernels& kernels, em::Array<EdgeT> cone_a,
+                     em::Array<EdgeT> cone_b, bool same_cone,
+                     TriangleSink& sink) {
   using Access = graph::EdgeAccess<EdgeT>;
   using graph::VertexId;
   em::Scanner<EdgeT> sa(cone_a);
@@ -322,15 +318,18 @@ void ScanConesPooled(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
   const std::pair<std::uint32_t, std::uint32_t>* const ranges =
       rc.ranges.data();
   const FlatVertexMap::View roles = rc.roles.view();
-  std::vector<std::pair<VertexId, std::uint32_t>> g2;
-  std::vector<VertexId> g3;
+  auto& g2 = rc.g2;
+  auto& g3 = rc.g3;
+  auto& match = rc.match;  // single-partition fast-path scratch
+  simd::DenseBitmap& bitmap = rc.bitmap;
+  const auto cone_vertex = [](const EdgeT& e) { return Access::U(e); };
+  std::uint64_t kernel_calls = 0;
   std::vector<VertexId> nbrs;       // one group's neighbours, arrival order
   std::vector<std::uint32_t> role;  // their probed role payloads
+  const auto collect = [&](const EdgeT& e) { nbrs.push_back(Access::V(e)); };
   std::vector<std::uint64_t> g2_probes;  // per-g2-entry pivot-run lengths
   std::vector<std::vector<std::pair<VertexId, VertexId>>> emit_bufs;
   std::vector<std::vector<std::uint32_t>> match_bufs;  // per-worker scratch
-  std::vector<std::uint32_t> match;  // single-partition fast-path scratch
-  simd::DenseBitmap bitmap;
 
   // Batched role probe: role[i] = roles.Get(nbrs[i]) over stable
   // partitions, each serviced by the flat-map probe kernel.
@@ -351,8 +350,10 @@ void ScanConesPooled(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
                            std::uint32_t* out) -> std::size_t {
     const std::uint32_t* run = vmax + range.first;
     const std::size_t len = range.second - range.first;
-    if (regime == simd::Regime::kBitmap) return bitmap.Probe(run, len, out);
-    return simd::IntersectSorted(run, len, g3.data(), g3.size(), out).matches;
+    if (regime == simd::Regime::kBitmap) {
+      return (bitmap.*kernels.probe)(run, len, out);
+    }
+    return kernels.intersect(run, len, g3.data(), g3.size(), out).matches;
   };
 
   while (sa.HasNext() || (!same_cone && sb.HasNext())) {
@@ -366,14 +367,10 @@ void ScanConesPooled(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
     }
     g2.clear();
     g3.clear();
-    // Neighbour collection: the exact Peek/Next sequence of the serial
-    // engine, so the I/O charges are untouched; only the (pure) probes are
-    // deferred into the batch.
+    // Neighbour collection charges exactly like the serial engine's; only
+    // the (pure) probes are deferred into the batch.
     nbrs.clear();
-    while (sa.HasNext() && Access::U(sa.Peek()) == v) {
-      nbrs.push_back(Access::V(sa.Next()));
-    }
-    ctx.AddWork(nbrs.size());
+    ctx.AddWork(sa.TakeRun(cone_vertex, v, collect));
     probe_group(nbrs.size());
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const std::uint32_t r = role[i];
@@ -384,10 +381,7 @@ void ScanConesPooled(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
     }
     if (!same_cone) {
       nbrs.clear();
-      while (sb.HasNext() && Access::U(sb.Peek()) == v) {
-        nbrs.push_back(Access::V(sb.Next()));
-      }
-      ctx.AddWork(nbrs.size());
+      ctx.AddWork(sb.TakeRun(cone_vertex, v, collect));
       probe_group(nbrs.size());
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
         if (role[i] != FlatVertexMap::kEmpty && (role[i] & 1u) != 0) {
@@ -417,6 +411,7 @@ void ScanConesPooled(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
       max_run = std::max(max_run, g2_probes[k]);
     }
     ctx.AddWork(total_probes);
+    kernel_calls += g2.size();
     const simd::Regime regime =
         simd::ChooseRegime(g3.size(), g3.front(), g3.back());
     if (regime == simd::Regime::kBitmap) bitmap.Build(g3.data(), g3.size());
@@ -453,6 +448,7 @@ void ScanConesPooled(em::QuerySession& ctx, const ResidentChunk<EdgeT>& rc,
       for (const auto& [u, w] : emit_bufs[k]) sink.Emit(v, u, w);
     }
   }
+  if (kernel_calls != 0) simd::CountInvocations(kernels.variant, kernel_calls);
 }
 
 }  // namespace internal
@@ -490,6 +486,7 @@ void PivotEnumerate(em::QuerySession& ctx, em::Array<EdgeT> cone_a,
   chunk_items = std::max<std::size_t>(chunk_items, 1);
 
   const bool pool_active = par::Threads() > 1;
+  const simd::Kernels kernels = simd::Kernels::For(simd::ActiveVariant());
   internal::ResidentChunk<EdgeT> rc;
   for (std::size_t p0 = 0; p0 < pivot.size(); p0 += chunk_items) {
     const std::size_t p1 = std::min(pivot.size(), p0 + chunk_items);
@@ -508,11 +505,11 @@ void PivotEnumerate(em::QuerySession& ctx, em::Array<EdgeT> cone_a,
       obs::Span span("pivot.cone_scan");
       span.AddArg("chunk_items", csize);
       if (pool_active) {
-        internal::ScanConesPooled<EdgeT>(ctx, rc, cone_a, cone_b, same_cone,
-                                         sink);
+        internal::ScanConesPooled<EdgeT>(ctx, rc, kernels, cone_a, cone_b,
+                                         same_cone, sink);
       } else {
-        internal::ScanConesSerial<EdgeT>(ctx, rc, cone_a, cone_b, same_cone,
-                                         sink);
+        internal::ScanConesSerial<EdgeT>(ctx, rc, kernels, cone_a, cone_b,
+                                         same_cone, sink);
       }
     }
   }

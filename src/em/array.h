@@ -333,6 +333,45 @@ class Scanner {
 
   void Skip() { ++pos_; }
 
+  /// Consumes the maximal run of records r with key(r) == k, calling f(r)
+  /// on each, and returns the run length. Charges exactly what
+  ///   while (HasNext() && key(Peek()) == k) f(Next());
+  /// charges, in the same order — each refill's ReadScan, then one touch
+  /// per peek (the run's records plus the first record past it, if any) —
+  /// but at O(1) simulator calls per buffered line: a line's peeks are one
+  /// touch of its first peeked record plus the MRU hits of the rest.
+  /// `f` must not touch the device: the line's touches are issued after
+  /// `f` has seen its records.
+  template <typename KeyFn, typename K, typename F>
+  std::size_t TakeRun(KeyFn key, const K& k, F&& f) {
+    std::size_t taken = 0;
+    if (mode_ == ScanMode::kElementwise) {
+      for (; HasNext() && key(Peek()) == k; ++taken) f(Next());
+      return taken;
+    }
+    while (pos_ < a_.size()) {
+      if (pos_ < buf_lo_ || pos_ >= buf_hi_) Refill();
+      // Buffered records [lo, hi) as buf[0, hi - lo); locals keep the index
+      // in a register across the calls `f` may make.
+      const std::size_t lo = pos_;
+      const std::size_t hi = buf_hi_;
+      const T* const buf = buf_.data() + (lo - buf_lo_);
+      const std::size_t avail = hi - lo;
+      std::size_t i = 0;
+      while (i < avail && key(buf[i]) == k) f(buf[i++]);
+      pos_ = lo + i;
+      taken += i;
+      const bool stopped = pos_ < hi;  // peeked a record past the run
+      // Every buffered record after the first lies in the line where the
+      // first one ends (Refill buffers exactly those), which is what
+      // TouchRecordRun requires — even when the first crosses a line.
+      a_.store()->TouchRecordRun(a_.AddrOf(lo), Array<T>::kWordsPer,
+                                 i + (stopped ? 1 : 0));
+      if (stopped) break;
+    }
+    return taken;
+  }
+
  private:
   void Refill() {
     const std::size_t n = a_.size();

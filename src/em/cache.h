@@ -120,6 +120,14 @@ class Cache {
   /// Single-word convenience wrapper.
   void Touch(Addr addr, bool write) { TouchRange(addr, 1, write); }
 
+  /// Charges `n` further read touches within the line the previous touch
+  /// ended in (which it left MRU) — the hits that many fast-path TouchRange
+  /// calls would count. The caller guarantees nothing touched the cache
+  /// since.
+  void RepeatTouch(std::size_t n) {
+    if (counting_) stats_.cache_hits += n;
+  }
+
   /// Batched scan charge: registers the exact touch sequence that a forward
   /// element-wise pass over [addr, addr+words) in records of `elem_words`
   /// words would — one TouchLine per covered line plus one cache hit for

@@ -162,6 +162,21 @@ class GraphStore {
     }
   }
 
+  /// Charges read touches of `n` >= 1 consecutive `elem_words`-word records
+  /// from `addr`, every record after the first lying in the line where the
+  /// first one ends: exactly what a TouchRange per record charges — the
+  /// first through the LRU, the rest as the MRU hits they are. A probe
+  /// cache (whose lines may be shorter) gets the per-record touches.
+  void TouchRecordRun(Addr addr, std::size_t elem_words, std::size_t n) {
+    cache_.TouchRange(addr, elem_words, /*write=*/false);
+    cache_.RepeatTouch(n - 1);
+    if (probe_ != nullptr && cache_.counting()) {
+      for (std::size_t i = 0; i < n; ++i) {
+        probe_->TouchRange(addr + i * elem_words, elem_words, /*write=*/false);
+      }
+    }
+  }
+
   /// Reads `words` device words at `a` into `out`, charging I/Os exactly as
   /// a TouchRange of the same span. All em::Array accesses route through
   /// here (and WriteWords below), which is what makes the storage backend

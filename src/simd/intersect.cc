@@ -249,21 +249,9 @@ IntersectStats IntersectAvx2(const std::uint32_t* a, std::size_t na,
 IntersectStats IntersectSorted(const std::uint32_t* a, std::size_t na,
                                const std::uint32_t* b, std::size_t nb,
                                std::uint32_t* out) {
-  const KernelVariant v = ActiveVariant();
-  CountInvocation(v);
-  switch (v) {
-    case KernelVariant::kScalar:
-      return internal::IntersectScalar(a, na, b, nb, out);
-    case KernelVariant::kAvx2:
-#if defined(__AVX2__)
-      return internal::IntersectAvx2(a, na, b, nb, out);
-#else
-      [[fallthrough]];  // unreachable: ActiveVariant gates on Avx2Available
-#endif
-    case KernelVariant::kSwar:
-      return internal::IntersectSwar(a, na, b, nb, out);
-  }
-  return internal::IntersectScalar(a, na, b, nb, out);  // unreachable
+  const Kernels k = Kernels::For(ActiveVariant());
+  CountInvocation(k.variant);
+  return k.intersect(a, na, b, nb, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -320,7 +308,8 @@ std::size_t DenseBitmap::ProbeAvx2(const std::uint32_t* probe, std::size_t n,
   // a variable shift; matched lanes compact through the permute table. The
   // u32 word view is the little-endian reinterpretation of words_, so bit
   // (off & 31) of word (off >> 5) is exactly bit (off & 63) of the 64-bit
-  // word — spans above 2^31 fall back to the SWAR path (Probe checks).
+  // word — spans above 2^31 fall back to the SWAR path.
+  if (span_ > (std::uint64_t{1} << 31)) return ProbeSwar(probe, n, out);
   const int* words32 = reinterpret_cast<const int*>(words_.data());
   const __m256i basev = _mm256_set1_epi32(static_cast<int>(base_));
   const __m256i signflip = _mm256_set1_epi32(static_cast<int>(0x80000000u));
@@ -361,22 +350,27 @@ std::size_t DenseBitmap::ProbeAvx2(const std::uint32_t* probe, std::size_t n,
 
 std::size_t DenseBitmap::Probe(const std::uint32_t* probe, std::size_t n,
                                std::uint32_t* out) const {
-  const KernelVariant v = ActiveVariant();
-  CountInvocation(v);
+  const Kernels k = Kernels::For(ActiveVariant());
+  CountInvocation(k.variant);
+  return (this->*k.probe)(probe, n, out);
+}
+
+Kernels Kernels::For(KernelVariant v) {
   switch (v) {
     case KernelVariant::kScalar:
-      return ProbeScalar(probe, n, out);
+      return {v, internal::IntersectScalar, &DenseBitmap::ProbeScalar};
     case KernelVariant::kAvx2:
 #if defined(__AVX2__)
-      if (span_ <= (std::uint64_t{1} << 31)) return ProbeAvx2(probe, n, out);
-      return ProbeSwar(probe, n, out);
+      return {v, internal::IntersectAvx2, &DenseBitmap::ProbeAvx2};
 #else
-      [[fallthrough]];
+      [[fallthrough]];  // unreachable: ActiveVariant gates on Avx2Available
 #endif
     case KernelVariant::kSwar:
-      return ProbeSwar(probe, n, out);
+      return {KernelVariant::kSwar, internal::IntersectSwar,
+              &DenseBitmap::ProbeSwar};
   }
-  return ProbeScalar(probe, n, out);  // unreachable
+  return {KernelVariant::kScalar, internal::IntersectScalar,
+          &DenseBitmap::ProbeScalar};  // unreachable
 }
 
 std::uint64_t DenseBitmap::CountAnd(const DenseBitmap& other) const {

@@ -142,10 +142,28 @@ class DenseBitmap {
                         std::uint32_t* out) const;
 #endif
 
+  friend struct Kernels;
+
   std::vector<std::uint64_t> words_;
   std::uint32_t base_ = 0;   // value of bit 0
   std::uint64_t span_ = 0;   // number of addressable positions
   std::size_t count_ = 0;    // values rasterized
+};
+
+/// One variant's merge and bitmap-probe kernels, resolved once so a hot loop
+/// calls them directly: no policy read and no shared counter per call. Such
+/// a loop reports its calls with CountInvocations(variant, n) when done.
+struct Kernels {
+  KernelVariant variant;
+  IntersectStats (*intersect)(const std::uint32_t* a, std::size_t na,
+                              const std::uint32_t* b, std::size_t nb,
+                              std::uint32_t* out);
+  std::size_t (DenseBitmap::*probe)(const std::uint32_t* probe, std::size_t n,
+                                    std::uint32_t* out) const;
+
+  /// `v`'s kernels (`v` as ActiveVariant resolves it: kAvx2 only when
+  /// AVX2 is available).
+  static Kernels For(KernelVariant v);
 };
 
 /// Population count over a word array — scalar builtin, SWAR bit-slicing,

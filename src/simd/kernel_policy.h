@@ -87,6 +87,12 @@ inline void CountInvocation(KernelVariant v) {
   internal::VariantCounter(v).fetch_add(1, std::memory_order_relaxed);
 }
 
+/// Adds `n` entries at once, for loops that call a resolved variant
+/// directly (simd::Kernels) and report once per batch.
+inline void CountInvocations(KernelVariant v, std::uint64_t n) {
+  internal::VariantCounter(v).fetch_add(n, std::memory_order_relaxed);
+}
+
 /// Total kernel entries serviced by `v` since the last reset.
 inline std::uint64_t Invocations(KernelVariant v) {
   return internal::VariantCounter(v).load(std::memory_order_relaxed);

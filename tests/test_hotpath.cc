@@ -160,6 +160,174 @@ TEST(HotPathStreams, ParityWhenRecordsCrossLineBoundaries) {
   }
 }
 
+// Scanner::TakeRun against the literal loop it stands for. Two grouped
+// streams are consumed group by group, merge-style (the Lemma 2 cone scan's
+// access pattern), with a Writer pushing one record between groups and a
+// cache of a few lines, so the LRU order is under pressure throughout.
+struct TakeRunOutcome {
+  em::IoStats io;
+  em::IoStats probe_io;
+  std::size_t resident = 0;
+  std::size_t probe_resident = 0;
+  std::vector<std::size_t> run_lengths;
+  std::uint64_t digest = 0;
+};
+
+template <typename T, typename MakeT, typename KeyT>
+TakeRunOutcome DriveGroupedRuns(bool take_run, em::ScanMode mode,
+                                em::StorageKind storage, std::size_t b_words,
+                                bool probe, bool counting,
+                                const std::vector<std::uint32_t> (&keys)[2],
+                                MakeT make, KeyT key) {
+  em::ScopedScanMode sm(mode);
+  em::Context ctx = test::MakeContext(6 * b_words, b_words, 0x7A4E, storage);
+  em::Array<T> in[2] = {ctx.Alloc<T>(keys[0].size()),
+                        ctx.Alloc<T>(keys[1].size())};
+  em::Array<std::uint64_t> out = ctx.Alloc<std::uint64_t>(
+      keys[0].size() + keys[1].size());
+  for (int s = 0; s < 2; ++s) {
+    em::Writer<T> w(in[s]);
+    for (std::size_t i = 0; i < keys[s].size(); ++i) {
+      w.Push(make(keys[s][i], i));
+    }
+  }
+  if (probe) ctx.AttachProbe(4 * b_words, std::max<std::size_t>(2, b_words / 3));
+  ctx.cache().Reset();
+  ctx.cache().set_counting(counting);
+
+  TakeRunOutcome r;
+  auto consume = [&](const T& rec) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &rec, sizeof(T));
+    for (unsigned char c : bytes) r.digest = r.digest * 1099511628211ULL + c;
+  };
+  auto take = [&](em::Scanner<T>& sc, std::uint32_t k) {
+    if (take_run) return sc.TakeRun(key, k, consume);
+    std::size_t n = 0;
+    for (; sc.HasNext() && key(sc.Peek()) == k; ++n) consume(sc.Next());
+    return n;
+  };
+  {
+    em::Scanner<T> sa(in[0]), sb(in[1]);
+    em::Writer<std::uint64_t> w(out);
+    while (sa.HasNext() || sb.HasNext()) {
+      std::uint32_t k;
+      if (!sa.HasNext()) {
+        k = key(sb.Peek());
+      } else if (!sb.HasNext()) {
+        k = key(sa.Peek());
+      } else {
+        k = std::min(key(sa.Peek()), key(sb.Peek()));
+      }
+      r.run_lengths.push_back(take(sa, k));
+      r.run_lengths.push_back(take(sb, k));
+      w.Push(k);
+    }
+  }
+  ctx.cache().set_counting(true);
+  ctx.cache().FlushAll();
+  r.io = ctx.cache().stats();
+  r.resident = ctx.cache().resident_lines();
+  if (probe) {
+    r.probe_io = ctx.probe()->stats();
+    r.probe_resident = ctx.probe()->resident_lines();
+  }
+  return r;
+}
+
+/// Grouped keys for `n` records of `w` words over B-word lines, with run
+/// lengths of up to three lines' worth. Every third run is cut to end with
+/// the last record that finishes in its line (the refill boundary of the
+/// buffered Scanner); asserts that runs also end inside lines and cross
+/// them.
+std::vector<std::uint32_t> GroupedKeys(std::size_t n, std::size_t w,
+                                       std::size_t b, std::uint64_t seed) {
+  // Line holding the last word of record i.
+  auto line_of = [&](std::size_t i) { return ((i + 1) * w - 1) / b; };
+  SplitMix64 rng(seed);
+  const std::size_t per_line = std::max<std::size_t>(1, b / w);
+  std::vector<std::uint32_t> keys;
+  std::uint32_t k = 0;
+  bool at_line_end = false, inside_line = false, crosses_line = false;
+  for (int run = 0; keys.size() < n; ++run) {
+    const std::size_t first = keys.size();
+    std::size_t last = first + rng.Next() % (3 * per_line);
+    if (run % 3 == 0) {
+      last = first;
+      while (line_of(last + 1) == line_of(last)) ++last;
+    }
+    last = std::min(last, n - 1);
+    k += 1 + static_cast<std::uint32_t>(rng.Next() % 3);  // keys skip values
+    keys.insert(keys.end(), last - first + 1, k);
+    const bool ends_line = line_of(last + 1) != line_of(last);
+    at_line_end |= ends_line;
+    inside_line |= !ends_line;
+    crosses_line |= line_of(first) != line_of(last);
+  }
+  EXPECT_TRUE(at_line_end && inside_line && crosses_line)
+      << "w=" << w << " B=" << b;
+  return keys;
+}
+
+template <typename T, typename MakeT, typename KeyT>
+void ExpectTakeRunParity(MakeT make, KeyT key) {
+  constexpr std::size_t w = em::Array<T>::kWordsPer;
+  for (std::size_t b : {8ULL, 16ULL, 31ULL}) {
+    const std::vector<std::uint32_t> keys[2] = {GroupedKeys(700, w, b, b),
+                                                GroupedKeys(500, w, b, b + 1)};
+    for (em::StorageKind storage :
+         {em::StorageKind::kMemory, em::StorageKind::kFile}) {
+      for (em::ScanMode mode :
+           {em::ScanMode::kBuffered, em::ScanMode::kElementwise}) {
+        for (bool probe : {false, true}) {
+          for (bool counting : {true, false}) {
+            SCOPED_TRACE("w=" + std::to_string(w) + " B=" + std::to_string(b) +
+                         (storage == em::StorageKind::kFile ? " file" : " mem") +
+                         (mode == em::ScanMode::kBuffered ? " buffered"
+                                                          : " elementwise") +
+                         (probe ? " probe" : "") +
+                         (counting ? "" : " counting-off"));
+            const TakeRunOutcome want = DriveGroupedRuns<T>(
+                false, mode, storage, b, probe, counting, keys, make, key);
+            const TakeRunOutcome got = DriveGroupedRuns<T>(
+                true, mode, storage, b, probe, counting, keys, make, key);
+            EXPECT_EQ(got.run_lengths, want.run_lengths);
+            EXPECT_EQ(got.digest, want.digest);
+            EXPECT_TRUE(SameStats(got.io, want.io))
+                << "literal=" << StatsStr(want.io)
+                << " take_run=" << StatsStr(got.io);
+            EXPECT_EQ(got.resident, want.resident);
+            EXPECT_TRUE(SameStats(got.probe_io, want.probe_io))
+                << "probe literal=" << StatsStr(want.probe_io)
+                << " take_run=" << StatsStr(got.probe_io);
+            EXPECT_EQ(got.probe_resident, want.probe_resident);
+            if (counting) {
+              EXPECT_GT(want.io.cache_hits, 0u);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HotPathStreams, TakeRunChargesLikePeekNextLoop) {
+  ExpectTakeRunParity<std::uint64_t>(
+      [](std::uint32_t k, std::size_t i) {
+        return (std::uint64_t{k} << 32) | static_cast<std::uint32_t>(i);
+      },
+      [](std::uint64_t r) { return static_cast<std::uint32_t>(r >> 32); });
+  ExpectTakeRunParity<Rec3>(
+      [](std::uint32_t k, std::size_t i) { return Rec3{k, i, ~std::uint64_t{i}}; },
+      [](const Rec3& r) { return static_cast<std::uint32_t>(r.a); });
+  ExpectTakeRunParity<PaddedRec>(
+      [](std::uint32_t k, std::size_t i) {
+        return PaddedRec{k, static_cast<std::uint32_t>(i),
+                         static_cast<std::uint32_t>(i * 7)};
+      },
+      [](const PaddedRec& r) { return r.x; });
+}
+
 TEST(HotPathStreams, ScanOpsChargeIdenticallyAcrossModes) {
   // Filter (aliasing, writes trail reads), Transform, UniqueConsecutive and
   // CountIf over both modes: same results, same IoStats. M is sized so the
