@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <mutex>
 #include <type_traits>
 #include <vector>
 
@@ -266,16 +265,8 @@ class Array {
 
 template <typename T>
 Array<T> GraphStore::Alloc(std::size_t n) {
-  Addr base;
-  if (prefetch_ != nullptr) {
-    // Allocation can grow the backend (ftruncate / vector resize / remap)
-    // while prefetch workers are mid-read; like every backend call, it
-    // serializes under the pool's io_mutex.
-    std::lock_guard<std::mutex> io(prefetch_->io_mutex());
-    base = device_.Allocate(n * Array<T>::kWordsPer, cfg_.block_words);
-  } else {
-    base = device_.Allocate(n * Array<T>::kWordsPer, cfg_.block_words);
-  }
+  const Addr base =
+      device_.Allocate(n * Array<T>::kWordsPer, cfg_.block_words);
   return Array<T>(this, base, n);
 }
 
@@ -422,9 +413,6 @@ template <typename T>
 class Writer {
  public:
   Writer() = default;
-  // Write advice reaches the backend only (madvise SEQUENTIAL); the
-  // prefetcher ignores it — reading ahead under a pure output stream could
-  // only waste device reads.
   explicit Writer(Array<T> a, ScanMode mode = DefaultScanMode())
       : a_(a), mode_(mode) {
     a_.AdviseRange(0, a_.size(), AdviseKind::kSequentialWrite);

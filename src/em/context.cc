@@ -9,21 +9,6 @@ GraphStore::GraphStore(const EmConfig& cfg)
              cfg.line_map_dense_limit) {
   TRIENUM_CHECK_MSG(cfg.memory_words >= cfg.block_words,
                     "internal memory must hold at least one block");
-  // Read-ahead engine (src/prefetch/, injected like the faults decorators):
-  // only meaningful when the cache stages real data — a counting-only cache
-  // has no physical reads to overlap. The pool reads through the *decorated*
-  // backend stack, so prefetch I/O exercises the same retry/checksum
-  // machinery as demand I/O.
-  if (cfg_.make_prefetcher && cache_.staged()) {
-    prefetch_ = cfg_.make_prefetcher(&device_.backend(), cfg_);
-    cache_.set_prefetcher(prefetch_.get());
-  }
-}
-
-GraphStore::~GraphStore() {
-  // Detach before the members unwind so no dangling prefetcher pointer
-  // survives inside the cache while the pool joins its workers.
-  cache_.set_prefetcher(nullptr);
 }
 
 ScratchLease::ScratchLease(QuerySession* session, std::size_t words)

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 
 #include "common/status.h"
 #include "em/cache.h"
@@ -144,7 +143,6 @@ class DeviceRegion {
 class GraphStore {
  public:
   explicit GraphStore(const EmConfig& cfg);
-  ~GraphStore();
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
 
@@ -272,40 +270,17 @@ class GraphStore {
   /// Registers an upcoming sequential pass over device words
   /// [a, a+words) — the scan-advice hook. Scanner/Writer (and the merge in
   /// extsort) call this with their exact future access range; the backend
-  /// turns it into madvise (MmapBackend) and the prefetcher, when attached,
-  /// into background read-ahead. Advice is a pure hint: uncounted, never
-  /// blocking, and bit-invisible to results and IoStats. Read-ahead is only
-  /// accepted while counting is on — uncounted phases (ingest) bypass the
-  /// line buffers, so staging their ranges could only waste reads.
+  /// turns it into madvise (MmapBackend). Advice is a pure hint: uncounted,
+  /// never blocking, and bit-invisible to results and IoStats.
   void Advise(Addr a, std::size_t words, AdviseKind kind) {
     device_.backend().Advise(a, words, kind);
-    if (prefetch_ != nullptr && cache_.counting()) {
-      prefetch_->Advise(a, words, kind);
-    }
   }
 
-  /// The attached read-ahead engine, or null (depth 0 / counting-only
-  /// cache).
-  LinePrefetcher* prefetcher() { return prefetch_.get(); }
-
-  /// Lifetime-monotone prefetch counters (all zero when no engine is
-  /// attached); query::RunQuery diffs snapshots into per-query stats.
-  PrefetchStats prefetch_stats() const {
-    return prefetch_ != nullptr ? prefetch_->stats() : PrefetchStats{};
-  }
-
-  /// Thread-safe snapshots of the backend's real-transfer / recovery
-  /// counters. With prefetch workers alive these advance on I/O threads, so
-  /// the read serializes under the pool's io_mutex; without a pool they are
-  /// plain reads, same as ever.
-  StorageTelemetry telemetry_snapshot() {
-    if (prefetch_ == nullptr) return device_.backend().telemetry();
-    std::lock_guard<std::mutex> io(prefetch_->io_mutex());
+  /// Snapshots of the backend's real-transfer / recovery counters.
+  StorageTelemetry telemetry_snapshot() const {
     return device_.backend().telemetry();
   }
-  RecoveryStats recovery_snapshot() {
-    if (prefetch_ == nullptr) return device_.backend().recovery();
-    std::lock_guard<std::mutex> io(prefetch_->io_mutex());
+  RecoveryStats recovery_snapshot() const {
     return device_.backend().recovery();
   }
 
@@ -341,9 +316,6 @@ class GraphStore {
   Device device_;
   Cache cache_;
   std::unique_ptr<Cache> probe_;
-  // Declared last: destroyed first, so the I/O workers are joined while the
-  // device/backend they read through are still alive.
-  std::unique_ptr<LinePrefetcher> prefetch_;
 };
 
 /// \brief Query-lifetime state over a borrowed GraphStore.
@@ -393,9 +365,6 @@ class QuerySession {
   void Advise(Addr a, std::size_t words, AdviseKind kind) {
     store_->Advise(a, words, kind);
   }
-  PrefetchStats prefetch_stats() const { return store_->prefetch_stats(); }
-  StorageTelemetry telemetry_snapshot() { return store_->telemetry_snapshot(); }
-  RecoveryStats recovery_snapshot() { return store_->recovery_snapshot(); }
   PinnedLine PinLine(Addr addr, bool write) {
     return store_->PinLine(addr, write);
   }

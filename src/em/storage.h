@@ -191,7 +191,7 @@ class FileBackend final : public StorageBackend {
 /// The third backend implementation, differential-tested against the other
 /// two. It is memory_resident(): the mapping is the direct view, so the
 /// cache runs counting-only and the *OS* pages blocks in and out — the
-/// related-repo approach of leaning on page-cache prefetch instead of
+/// related-repo approach of leaning on page-cache read-ahead instead of
 /// explicit staging. Advise() turns the scan-advice hook into
 /// madvise(MADV_SEQUENTIAL / MADV_WILLNEED). Growth is ftruncate + remap
 /// (the direct view is invalidated by EnsureSize, same contract as the

@@ -64,9 +64,8 @@ void ExternalMergeSort(em::QuerySession& ctx, em::Array<T> data, Less less) {
     // or std::stable_sort's internal temp buffer on the keyless fallback.
     em::ScratchLease lease = ctx.LeaseScratch(2 * run_items * words_per);
     // Run formation is one fully predictable pass: a sequential read of the
-    // whole input and a sequential write of the runs. Announce both so the
-    // prefetcher overlaps the M/2-word loads with SortRun's host compute
-    // (the bulk ReadTo below issues no Scanner of its own).
+    // whole input and a sequential write of the runs. Announce both to the
+    // backend (the bulk ReadTo below issues no Scanner of its own).
     data.AdviseRange(0, n, em::AdviseKind::kSequentialRead);
     ping.AdviseRange(0, n, em::AdviseKind::kSequentialWrite);
     std::vector<T> buf(std::min(run_items, n));

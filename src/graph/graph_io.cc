@@ -19,6 +19,10 @@ Result<std::vector<Edge>> ReadEdgeListText(const std::string& path) {
     std::istringstream ss(line);
     std::uint64_t u, v;
     if (!(ss >> u >> v)) {
+      // A whitespace-only line (e.g. "\r" from a CRLF file) is blank.
+      if (line.find_first_not_of(" \t\r\v\f") == std::string::npos) {
+        continue;
+      }
       return Status::InvalidArgument("parse error at " + path + ":" +
                                      std::to_string(lineno));
     }
@@ -40,14 +44,28 @@ Status WriteEdgeListText(const std::string& path, const std::vector<Edge>& edges
 }
 
 Result<std::vector<Edge>> ReadEdgeListBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open " + path);
+  const std::streamoff file_bytes = in.tellg();
+  if (file_bytes < 0) return Status::IoError("cannot size " + path);
+  in.seekg(0);
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   if (!in) return Status::IoError("truncated header in " + path);
+  // The header is untrusted: it must describe exactly the bytes that follow
+  // before anything is allocated from it (overflow-safe: divide, then
+  // compare).
+  const std::uint64_t payload =
+      static_cast<std::uint64_t>(file_bytes) - sizeof(count);
+  if (count > payload / sizeof(Edge) || count * sizeof(Edge) != payload) {
+    return Status::InvalidArgument(
+        "header of " + path + " declares " + std::to_string(count) +
+        " edges but the file holds " + std::to_string(payload) +
+        " payload bytes");
+  }
   std::vector<Edge> edges(count);
   in.read(reinterpret_cast<char*>(edges.data()),
-          static_cast<std::streamsize>(count * sizeof(Edge)));
+          static_cast<std::streamsize>(payload));
   if (!in) return Status::IoError("truncated payload in " + path);
   return edges;
 }

@@ -13,13 +13,14 @@
 namespace trienum::graph {
 
 /// Parses a whitespace-separated edge list. Lines starting with '#' or '%'
-/// are comments; blank lines are skipped.
+/// are comments; blank (whitespace-only, so CRLF-safe) lines are skipped.
 Result<std::vector<Edge>> ReadEdgeListText(const std::string& path);
 
 /// Writes "u v" per line.
 Status WriteEdgeListText(const std::string& path, const std::vector<Edge>& edges);
 
-/// Compact binary format: u64 count, then count packed Edge records.
+/// Compact binary format: u64 count, then count packed Edge records. A count
+/// that does not match the file's size is an InvalidArgument.
 Result<std::vector<Edge>> ReadEdgeListBinary(const std::string& path);
 Status WriteEdgeListBinary(const std::string& path, const std::vector<Edge>& edges);
 

@@ -112,12 +112,8 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
   }
   TRIENUM_CHECK(sink != nullptr);
 
-  // The _snapshot accessors serialize against prefetch workers; taken after
-  // Reset(), so staging leftovers a previous query abandoned were already
-  // cleared (and counted wasted) against that query's epoch.
   em::StorageTelemetry tel_before = session.store().telemetry_snapshot();
   em::RecoveryStats rec_before = session.store().recovery_snapshot();
-  em::PrefetchStats pf_before = session.store().prefetch_stats();
 
   // Tracing, when a collector is installed: the sampler lets spans opened
   // on this thread attribute counter deltas to phases. Installed *after*
@@ -179,7 +175,6 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
   r.device_peak_words = session.device().peak_words();
   r.telemetry = session.store().telemetry_snapshot() - tel_before;
   r.recovery = session.store().recovery_snapshot() - rec_before;
-  r.prefetch = session.store().prefetch_stats() - pf_before;
   r.wall_ms = std::chrono::duration_cast<
                   std::chrono::duration<double, std::milli>>(t1 - t0)
                   .count();

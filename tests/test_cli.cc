@@ -5,8 +5,11 @@
 #include <unistd.h>
 
 #include <array>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -231,15 +234,22 @@ TEST(CliSmoke, UnknownOptionFailsWithUsageHint) {
   // --script is a `trienum query` option; count must still reject it.
   RunCli("count --algo=mgt --graph=clique:k=5 --script=/dev/null",
          /*expected_status=*/2);
+  // The removed read-ahead flags must fail loudly, not be ignored.
+  RunCli("count --algo=mgt --graph=clique:k=5 --prefetch=8",
+         /*expected_status=*/2);
+  RunCli("count --algo=mgt --graph=clique:k=5 --prefetch-threads=2",
+         /*expected_status=*/2);
 }
 
 // Writes `content` to a unique temp file and returns its path; the file is
 // removed when the returned guard dies.
+// `suffix` (e.g. ".bin") selects how the CLI reads a graph file.
 struct TempScript {
   std::string path;
-  explicit TempScript(const std::string& content) {
-    char tmpl[] = "/tmp/trienum-test-script-XXXXXX";
-    int fd = mkstemp(tmpl);
+  explicit TempScript(const std::string& content,
+                      const std::string& suffix = "") {
+    std::string tmpl = "/tmp/trienum-test-script-XXXXXX" + suffix;
+    int fd = mkstemps(tmpl.data(), static_cast<int>(suffix.size()));
     EXPECT_GE(fd, 0);
     path = tmpl;
     EXPECT_EQ(write(fd, content.data(), content.size()),
@@ -248,53 +258,6 @@ struct TempScript {
   }
   ~TempScript() { unlink(path.c_str()); }
 };
-
-TEST(CliPrefetch, DepthIsEchoedAndLeavesCountedStatsBitIdentical) {
-  // The prefetch contract end to end through the CLI: read-ahead changes
-  // only the prefetch_* lines — triangles and every counted I/O number
-  // match the depth-0 run exactly, and the header echoes the depth.
-  const std::string common =
-      "count --algo=mgt --graph=rmat:scale=8,m=2000,seed=11"
-      " --memory=2048 --block=32 --seed=7 --backend=file";
-  std::string off = RunCli(common);
-  std::string on = RunCli(common + " --prefetch=8 --prefetch-threads=2");
-  EXPECT_EQ(ReportValue(off, "prefetch"), "0");
-  EXPECT_EQ(ReportValue(on, "prefetch"), "8");
-  for (const char* key : {"triangles", "block_reads", "block_writes",
-                          "block_ios", "internal_work"}) {
-    EXPECT_EQ(ReportValue(on, key), ReportValue(off, key)) << key;
-  }
-  EXPECT_EQ(ReportValue(off, "prefetch_issued"), "0");
-}
-
-TEST(CliPrefetch, DepthZeroAndMemoryResidentBackendsStayInert) {
-  // The knob must be harmless where there is nothing to stage: on the
-  // memory/mmap backends the cache runs counting-only and no pool is built.
-  std::string out = RunCli(
-      "count --algo=ps-cache-aware --graph=clique:k=8 --memory=1024"
-      " --block=16 --backend=mmap --prefetch=8");
-  EXPECT_EQ(ReportValue(out, "prefetch"), "8");
-  EXPECT_EQ(ReportValue(out, "prefetch_issued"), "0");
-  EXPECT_EQ(ReportValue(out, "triangles"), "56");  // C(8,3)
-}
-
-TEST(CliPrefetch, QueryReportsCarryThePrefetchHeader) {
-  TempScript script("count --algo=mgt\n");
-  std::string out = RunCli(
-      "query --graph=clique:k=8 --memory=1024 --block=16 --backend=file"
-      " --prefetch=4 --script=" + script.path);
-  EXPECT_EQ(ReportValue(out, "prefetch"), "4");
-  EXPECT_EQ(ReportValue(out, "triangles"), "56");
-}
-
-TEST(CliPrefetch, MalformedPrefetchFlagsFail) {
-  RunCli("count --graph=clique:k=5 --prefetch=deep", /*expected_status=*/2);
-  RunCli("count --graph=clique:k=5 --prefetch=-1", /*expected_status=*/2);
-  RunCli("count --graph=clique:k=5 --prefetch-threads=many",
-         /*expected_status=*/2);
-  RunCli("count --graph=clique:k=5 --prefetch=4 --prefetch-threads=0",
-         /*expected_status=*/2);
-}
 
 TEST(CliFaults, TransientScheduleLeavesTheReportBitIdentical) {
   // The recovery contract end to end through the CLI: a seeded transient
@@ -555,6 +518,65 @@ TEST(CliQuery, BadScriptLineFails) {
   TempScript script2("count --bogus=1\n");
   RunCli("query --graph=clique:k=5 --script=" + script2.path,
          /*expected_status=*/2);
+}
+
+// Like RunCli, but returns stdout and stderr together (error messages).
+std::string RunCliMerged(const std::string& args, int expected_status) {
+  std::string cmd = "\"" TRIENUM_CLI_PATH "\" " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << cmd;
+  if (pipe == nullptr) return "";
+  std::string out;
+  std::array<char, 4096> buf;
+  std::size_t n;
+  while ((n = fread(buf.data(), 1, buf.size(), pipe)) > 0) {
+    out.append(buf.data(), n);
+  }
+  int rc = pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+  EXPECT_EQ(WEXITSTATUS(rc), expected_status) << cmd << "\noutput:\n" << out;
+  return out;
+}
+
+// A binary edge list: the 8-byte edge count, then the (u, v) uint32 pairs.
+std::string BinaryEdgeList(std::uint64_t count,
+                           const std::vector<std::uint32_t>& pairs) {
+  std::string bytes(reinterpret_cast<const char*>(&count), sizeof(count));
+  bytes.append(reinterpret_cast<const char*>(pairs.data()),
+               pairs.size() * sizeof(std::uint32_t));
+  return bytes;
+}
+
+TEST(CliGraphFiles, HugeBinaryHeaderExitsTwoNamingTheFile) {
+  TempScript bin(BinaryEdgeList(std::uint64_t{1} << 61, {0, 1, 1, 2, 0, 2}),
+                 ".bin");
+  std::string out =
+      RunCliMerged("count --algo=mgt --graph=" + bin.path, /*expected=*/2);
+  EXPECT_NE(out.find(bin.path), std::string::npos) << out;
+}
+
+TEST(CliGraphFiles, TruncatedBinaryExitsTwoNamingTheFile) {
+  // The header promises three edges; two and a half follow.
+  std::string bytes = BinaryEdgeList(3, {0, 1, 1, 2, 0, 2});
+  bytes.resize(bytes.size() - 4);
+  TempScript bin(bytes, ".bin");
+  std::string out =
+      RunCliMerged("count --algo=mgt --graph=" + bin.path, /*expected=*/2);
+  EXPECT_NE(out.find(bin.path), std::string::npos) << out;
+}
+
+TEST(CliGraphFiles, BinaryAndCrlfEdgeListsCountLikeTheirLfTwin) {
+  // K4 plus a pendant edge: four triangles.
+  TempScript lf("0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n3 4\n");
+  TempScript crlf("# K4 + pendant\r\n0 1\r\n0 2\r\n\r\n0 3\r\n1 2\r\n"
+                  "1 3\r\n2 3\r\n3 4\r\n",
+                  ".txt");
+  TempScript bin(BinaryEdgeList(7, {0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 3, 4}),
+                 ".bin");
+  for (const TempScript* file : {&lf, &crlf, &bin}) {
+    std::string out = RunCli("count --algo=mgt --graph=" + file->path);
+    EXPECT_EQ(ReportValue(out, "triangles"), "4") << file->path;
+  }
 }
 
 }  // namespace
