@@ -8,8 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench_threads.h"
-
 #include <chrono>
 #include <string>
 #include <vector>

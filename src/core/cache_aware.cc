@@ -36,10 +36,7 @@ ColorBuckets ColorAndBucket(em::QuerySession& ctx, em::Array<graph::Edge> low,
   // The transform stays fused (read, color, push per record): its Scanner
   // reads interleave with Writer flushes, and that interleaving is part of
   // the pinned LRU charge sequence — batching reads ahead of the writes
-  // would perturb IoStats under capacity pressure. Parallelism enters this
-  // algorithm through charge-safe windows instead: run formation inside
-  // the ExternalMergeSort below and the Lemma 2 cone probes of step 3
-  // (see pivot_enum.h), both invariant in the thread count.
+  // would perturb IoStats under capacity pressure.
   const std::size_t num_keys = static_cast<std::size_t>(c) * c;
   ColorBuckets out;
   obs::Span span("ca.coloring");

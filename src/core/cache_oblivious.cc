@@ -11,7 +11,6 @@
 #include "extsort/sorter.h"
 #include "hashing/kwise.h"
 #include "obs/trace.h"
-#include "par/thread_pool.h"
 
 namespace trienum::core {
 namespace {
@@ -134,9 +133,9 @@ class CoRunner {
     } else {
       // Refinement bits are GF(2^61-1) polynomial evaluations — the
       // recursion's hottest host work. Each record's two bits are evaluated
-      // once (one batched two-point evaluation on the counting scan) and
-      // replayed on the write scan from a host-side bit cache, instead of
-      // re-deriving them per pass. The cache is 2 bits per record packed in
+      // once (one two-point evaluation on the counting scan) and replayed on
+      // the write scan from a host-side bit cache, instead of re-deriving
+      // them per pass. The cache is 2 bits per record packed in
       // a byte, capped by a fixed (M-independent, so still oblivious)
       // constant; nodes beyond the cap fall back to re-evaluating on the
       // second scan. Either way both scans stay real Scanner passes — the
@@ -146,36 +145,6 @@ class CoRunner {
       const bool cache_bits = len <= kBitCacheMax;
       std::vector<std::uint8_t>& bits = bit_cache_;
       if (cache_bits && bits.size() < len) bits.resize(len);
-      // When the par pool is active, the counting scan stages records in
-      // batches and fans the two-point evaluations out across workers
-      // (independent pure GF(2^61-1) work). This is charge-exact: the scan
-      // is read-only, records are pulled with the same Next() sequence
-      // either way, and routing stays on this thread. The write scan is
-      // NOT batched — its Scanner reads interleave with the eight child
-      // Writers' flushes, and that interleaving is part of the pinned LRU
-      // charge sequence — so nodes over the bit-cache cap re-evaluate
-      // serially there; for every cacheable node the expensive hashing ran
-      // exactly once, in parallel, on the counting scan. Nodes below two
-      // grains can never fan out, so they skip the batch staging entirely.
-      const bool pool_active =
-          par::Threads() > 1 && len >= 2 * kHashGrain;
-      std::vector<ColoredEdge>& batch = hash_batch_;
-      std::vector<std::uint8_t>& pbv = hash_bits_;
-      auto fill_batch = [&](em::Scanner<ColoredEdge>& in) {
-        batch.clear();
-        while (in.HasNext() && batch.size() < kHashBatch) {
-          batch.push_back(in.Next());
-        }
-        if (pbv.size() < batch.size()) pbv.resize(batch.size());
-        par::ParallelFor(batch.size(), kHashGrain,
-                         [&](std::size_t lo, std::size_t hi) {
-                           for (std::size_t j = lo; j < hi; ++j) {
-                             pbv[j] = static_cast<std::uint8_t>(
-                                 bh.PairBits(batch[j].u, batch[j].v));
-                           }
-                         });
-        return batch.size();
-      };
       {
         em::Scanner<ColoredEdge> in(a.Slice(0, len));
         std::size_t i = 0;
@@ -186,22 +155,11 @@ class CoRunner {
           slots[z][1] += s12 ? 1 : 0;
           slots[z][2] += s02 ? 1 : 0;
         };
-        if (!pool_active) {
-          while (in.HasNext()) {
-            ColoredEdge e = in.Next();
-            const std::uint32_t pb = bh.PairBits(e.u, e.v);
-            if (cache_bits) bits[i++] = static_cast<std::uint8_t>(pb);
-            route(e, pb & 1u, pb >> 1, count_child);
-          }
-        } else {
-          while (in.HasNext()) {
-            const std::size_t bn = fill_batch(in);
-            for (std::size_t j = 0; j < bn; ++j) {
-              if (cache_bits) bits[i + j] = pbv[j];
-              route(batch[j], pbv[j] & 1u, pbv[j] >> 1, count_child);
-            }
-            i += bn;
-          }
+        while (in.HasNext()) {
+          ColoredEdge e = in.Next();
+          const std::uint32_t pb = bh.PairBits(e.u, e.v);
+          if (cache_bits) bits[i++] = static_cast<std::uint8_t>(pb);
+          route(e, pb & 1u, pb >> 1, count_child);
         }
       }
       for (int z = 0; z < 8; ++z) {
@@ -249,18 +207,6 @@ class CoRunner {
   /// cap). A fixed constant — the oblivious code path still never consults
   /// M or B.
   static constexpr std::size_t kBitCacheMax = std::size_t{1} << 20;
-
-  /// Records pulled from the Scanner per hashing batch. Bounds the host
-  /// staging the parallel refinement-bit evaluation needs (a batch of
-  /// records + one byte each, 256 KiB at the cap) independent of subproblem
-  /// size, while leaving headroom for kHashBatch / kHashGrain = 8-way
-  /// fan-out. A fixed constant — the oblivious code path never consults M
-  /// or the thread count.
-  static constexpr std::size_t kHashBatch = std::size_t{1} << 14;
-
-  /// Pair evaluations per pool partition below which fan-out cannot pay;
-  /// batches under 2x this run inline on the calling thread.
-  static constexpr std::size_t kHashGrain = std::size_t{1} << 11;
 
  private:
   /// Enumerates proper triangles through vertices of degree >= E/8 within
@@ -423,8 +369,6 @@ class CoRunner {
   SplitMix64 rng_;
   CacheObliviousReport* report_;
   std::vector<std::uint8_t> bit_cache_;  // refinement bits, node-local use
-  std::vector<graph::ColoredEdge> hash_batch_;  // staged records, one batch
-  std::vector<std::uint8_t> hash_bits_;         // their PairBits results
 };
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "extsort/scan_ops.h"
 #include "graph/host_graph.h"
 #include "hashing/kwise.h"
-#include "par/thread_pool.h"
 #include "simd/flat_set.h"
 
 namespace trienum::core {
@@ -75,12 +74,9 @@ class QuadRecursor {
         slots[i].ReadTo(0, slots[i].size(), tmp.data());
         for (const Edge& e : tmp) has.Insert(PackEdge(e.u, e.v));
       }
-      // The pair join is pure host work on the staged copies — everything
+      // The pair join is pure host work on the staged copies: everything
       // below runs after the slots' charged reads and emits straight to the
-      // sink, so it fans out over the par pool: contiguous b12 row blocks
-      // per worker, per-worker emit buffers flushed in partition order.
-      // Emission order and the work counter are identical to the fused
-      // serial loop (kept below for the default threads=1).
+      // sink.
       ctx_.AddWork(b12.size() * b34.size());
       auto match = [&](const Edge& e12, const Edge& e34) {
         return e12.v < e34.u &&  // enforce v2 < v3
@@ -88,31 +84,10 @@ class QuadRecursor {
                    PackEdge(e12.u, e34.u), PackEdge(e12.u, e34.v),
                    PackEdge(e12.v, e34.u), PackEdge(e12.v, e34.v));
       };
-      const std::size_t parts = par::PartsFor(
-          b12.size() * b34.size(), par::Threads(), kJoinGrainPairs);
-      if (parts <= 1) {
-        for (const Edge& e12 : b12) {
-          for (const Edge& e34 : b34) {
-            if (match(e12, e34)) sink_.Emit4(e12.u, e12.v, e34.u, e34.v);
-          }
+      for (const Edge& e12 : b12) {
+        for (const Edge& e34 : b34) {
+          if (match(e12, e34)) sink_.Emit4(e12.u, e12.v, e34.u, e34.v);
         }
-        return;
-      }
-      std::vector<std::vector<std::array<VertexId, 4>>> bufs(parts);
-      par::ParallelFor(parts, 1, [&](std::size_t k0, std::size_t k1) {
-        for (std::size_t k = k0; k < k1; ++k) {
-          const par::Range rows = par::PartRange(b12.size(), parts, k);
-          for (std::size_t i = rows.lo; i < rows.hi; ++i) {
-            for (const Edge& e34 : b34) {
-              if (match(b12[i], e34)) {
-                bufs[k].push_back({b12[i].u, b12[i].v, e34.u, e34.v});
-              }
-            }
-          }
-        }
-      });
-      for (const auto& buf : bufs) {
-        for (const auto& q : buf) sink_.Emit4(q[0], q[1], q[2], q[3]);
       }
       return;
     }
@@ -135,9 +110,7 @@ class QuadRecursor {
         em::Scanner<Edge> in(slots[s]);
         // The refine scan stays fused (read, hash, push per record): its
         // reads interleave with the child Writer's flushes, and that
-        // interleaving is part of the pinned LRU charge sequence. The
-        // parallel window of this algorithm is the in-memory join above —
-        // charge-free between its staging reads and its emissions.
+        // interleaving is part of the pinned LRU charge sequence.
         while (in.HasNext()) {
           Edge e = in.Next();
           ctx_.AddWork(1);
@@ -150,11 +123,6 @@ class QuadRecursor {
       if (viable) Solve(child, depth + 1);
     }
   }
-
-  /// Candidate pairs per pool partition below which the in-memory join
-  /// stays serial (a hash-set probe is tens of nanoseconds; a partition
-  /// must amortize the fork/join handshake).
-  static constexpr std::size_t kJoinGrainPairs = std::size_t{1} << 12;
 
  private:
   em::QuerySession& ctx_;

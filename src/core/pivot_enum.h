@@ -16,23 +16,14 @@
 //     vertex is not colored tau1" a structural no-op;
 //   * ablation benches sweeping the chunk fraction alpha.
 //
-// Two loop engines share the chunk loading, the indexing and the scan
-// scratch:
-//   * serial (threads=1, the default): each cone group's neighbours are
-//     consumed straight from the cone scanner's line buffer
-//     (em::Scanner::TakeRun, which charges the per-record Peek/Next loop's
-//     exact sequence at O(1) simulator calls per buffered line), and each
-//     neighbour's roles are looked up inline as it arrives — one
-//     FlatVertexMap probe per cone edge per chunk, the hottest host loop of
-//     Lemma 2;
-//   * pooled (par::SetThreads(N > 1)): the same TakeRun collection, then the
-//     role probes (batched ProbeFlatMapU32 calls) and the resident-run
-//     membership tests — pure reads of chunk-resident state — fan out over
-//     stable partitions with per-worker emit buffers flushed in partition
-//     order. Output order, IoStats and work counters are identical to the
-//     serial engine (pinned by tests/test_parallel.cc).
+// The loop engine consumes each cone group's neighbours straight from the
+// cone scanner's line buffer (em::Scanner::TakeRun, which charges the
+// per-record Peek/Next loop's exact sequence at O(1) simulator calls per
+// buffered line), and looks each neighbour's roles up inline as it arrives —
+// one FlatVertexMap probe per cone edge per chunk, the hottest host loop of
+// Lemma 2.
 //
-// Both engines drive the src/simd/ two-regime intersection kernels: the emit
+// The engine drives the src/simd/ two-regime intersection kernels: the emit
 // phase intersects each resident pivot run against Gamma_3 either by merge
 // kernel or — when Gamma_3 is large and dense (the high-degree-hub shape) —
 // through a per-group offset bitmap. The kernel variant is resolved once per
@@ -53,7 +44,6 @@
 #include "em/array.h"
 #include "graph/types.h"
 #include "obs/trace.h"
-#include "par/thread_pool.h"
 #include "simd/intersect.h"
 
 namespace trienum::core {
@@ -64,8 +54,7 @@ namespace internal {
 /// probed millions of times per run; a flat table beats both
 /// std::unordered_map (per-node mallocs, bucket chasing) and binary search
 /// (log-n mispredicted branches) on this hot path. Host-side only: no effect
-/// on I/O accounting. Concurrent Get from pool workers is safe once the
-/// build (Put/Add) phase is done.
+/// on I/O accounting.
 class FlatVertexMap {
  public:
   static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
@@ -136,13 +125,8 @@ class FlatVertexMap {
   std::uint32_t mask_ = 0;
 };
 
-/// Probes per pool partition below which the pooled engine's batches stay
-/// serial: a flat-map lookup or a binary search is tens of nanoseconds, so
-/// a partition must amortize the fork/join handshake.
-inline constexpr std::size_t kPivotParGrain = std::size_t{1} << 11;
-
 /// One resident pivot chunk with its host-side index: the sorted chunk, the
-/// per-u run table, and the role map. Shared by both loop engines.
+/// per-u run table, and the role map.
 template <typename EdgeT>
 struct ResidentChunk {
   using Access = graph::EdgeAccess<EdgeT>;
@@ -205,7 +189,7 @@ struct ResidentChunk {
   }
 };
 
-/// The serial loop engine. Neighbour collection charges exactly what the
+/// The loop engine. Neighbour collection charges exactly what the
 /// per-record loop `while (HasNext() && U(Peek()) == v) Next()` charges
 /// (em::Scanner::TakeRun) while the roles are probed inline; the emit phase
 /// intersects each resident pivot run against Gamma_3 through the
@@ -214,7 +198,7 @@ struct ResidentChunk {
 /// output IS the run-scan emit order; work is charged per batch with totals
 /// equal to the per-item counts.
 template <typename EdgeT>
-void ScanConesSerial(em::QuerySession& ctx, ResidentChunk<EdgeT>& rc,
+void ScanCones(em::QuerySession& ctx, ResidentChunk<EdgeT>& rc,
                      const simd::Kernels& kernels, em::Array<EdgeT> cone_a,
                      em::Array<EdgeT> cone_b, bool same_cone,
                      TriangleSink& sink) {
@@ -300,157 +284,6 @@ void ScanConesSerial(em::QuerySession& ctx, ResidentChunk<EdgeT>& rc,
   if (kernel_calls != 0) simd::CountInvocations(kernels.variant, kernel_calls);
 }
 
-/// The pooled loop engine: identical charges and output (see the header
-/// comment), with the per-group probe and emit phases fanned out over the
-/// par pool. Work accounting moves from per-item to per-batch AddWork calls
-/// of equal totals.
-template <typename EdgeT>
-void ScanConesPooled(em::QuerySession& ctx, ResidentChunk<EdgeT>& rc,
-                     const simd::Kernels& kernels, em::Array<EdgeT> cone_a,
-                     em::Array<EdgeT> cone_b, bool same_cone,
-                     TriangleSink& sink) {
-  using Access = graph::EdgeAccess<EdgeT>;
-  using graph::VertexId;
-  em::Scanner<EdgeT> sa(cone_a);
-  em::Scanner<EdgeT> sb;
-  if (!same_cone) sb = em::Scanner<EdgeT>(cone_b);
-  const std::uint32_t* const vmax = rc.vmax.data();
-  const std::pair<std::uint32_t, std::uint32_t>* const ranges =
-      rc.ranges.data();
-  const FlatVertexMap::View roles = rc.roles.view();
-  auto& g2 = rc.g2;
-  auto& g3 = rc.g3;
-  auto& match = rc.match;  // single-partition fast-path scratch
-  simd::DenseBitmap& bitmap = rc.bitmap;
-  const auto cone_vertex = [](const EdgeT& e) { return Access::U(e); };
-  std::uint64_t kernel_calls = 0;
-  std::vector<VertexId> nbrs;       // one group's neighbours, arrival order
-  std::vector<std::uint32_t> role;  // their probed role payloads
-  const auto collect = [&](const EdgeT& e) { nbrs.push_back(Access::V(e)); };
-  std::vector<std::uint64_t> g2_probes;  // per-g2-entry pivot-run lengths
-  std::vector<std::vector<std::pair<VertexId, VertexId>>> emit_bufs;
-  std::vector<std::vector<std::uint32_t>> match_bufs;  // per-worker scratch
-
-  // Batched role probe: role[i] = roles.Get(nbrs[i]) over stable
-  // partitions, each serviced by the flat-map probe kernel.
-  auto probe_group = [&](std::size_t count) {
-    if (role.size() < count) role.resize(count);
-    par::ParallelFor(count, kPivotParGrain,
-                     [&](std::size_t lo, std::size_t hi) {
-                       simd::ProbeFlatMapU32(roles.keys, roles.vals,
-                                             roles.mask, nbrs.data() + lo,
-                                             hi - lo, role.data() + lo);
-                     });
-  };
-  // One run's two-regime intersection into `out` (kOutSlack slack);
-  // returns the match count. Read-only on shared state once the group's
-  // bitmap is built, so pool workers may call it concurrently.
-  auto intersect_run = [&](const std::pair<std::uint32_t, std::uint32_t>& range,
-                           simd::Regime regime,
-                           std::uint32_t* out) -> std::size_t {
-    const std::uint32_t* run = vmax + range.first;
-    const std::size_t len = range.second - range.first;
-    if (regime == simd::Regime::kBitmap) {
-      return (bitmap.*kernels.probe)(run, len, out);
-    }
-    return kernels.intersect(run, len, g3.data(), g3.size(), out).matches;
-  };
-
-  while (sa.HasNext() || (!same_cone && sb.HasNext())) {
-    VertexId v;
-    if (!sa.HasNext()) {
-      v = Access::U(sb.Peek());
-    } else if (same_cone || !sb.HasNext()) {
-      v = Access::U(sa.Peek());
-    } else {
-      v = std::min(Access::U(sa.Peek()), Access::U(sb.Peek()));
-    }
-    g2.clear();
-    g3.clear();
-    // Neighbour collection charges exactly like the serial engine's; only
-    // the (pure) probes are deferred into the batch.
-    nbrs.clear();
-    ctx.AddWork(sa.TakeRun(cone_vertex, v, collect));
-    probe_group(nbrs.size());
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const std::uint32_t r = role[i];
-      if (r != FlatVertexMap::kEmpty) {
-        if ((r >> 1) != 0) g2.emplace_back(nbrs[i], (r >> 1) - 1);
-        if (same_cone && (r & 1u) != 0) g3.push_back(nbrs[i]);
-      }
-    }
-    if (!same_cone) {
-      nbrs.clear();
-      ctx.AddWork(sb.TakeRun(cone_vertex, v, collect));
-      probe_group(nbrs.size());
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (role[i] != FlatVertexMap::kEmpty && (role[i] & 1u) != 0) {
-          g3.push_back(nbrs[i]);
-        }
-      }
-    }
-    if (g2.empty() || g3.empty()) continue;
-
-    if (!std::is_sorted(g3.begin(), g3.end())) {
-      std::sort(g3.begin(), g3.end());
-    }
-    // Emit phase: each g2 entry intersects its resident pivot run with g3
-    // through the two-regime kernels (regime chosen once per group; a
-    // bitmap, once built, is read-only and shared across workers). Work is
-    // the run length, not a constant, so the partitioning is weighted;
-    // per-worker emit buffers are flushed to the sink in partition order.
-    // A single partition (small group) emits directly — the order is the
-    // same either way.
-    g2_probes.resize(g2.size());
-    std::uint64_t total_probes = 0;
-    std::uint64_t max_run = 0;
-    for (std::size_t k = 0; k < g2.size(); ++k) {
-      g2_probes[k] =
-          ranges[g2[k].second].second - ranges[g2[k].second].first;
-      total_probes += g2_probes[k];
-      max_run = std::max(max_run, g2_probes[k]);
-    }
-    ctx.AddWork(total_probes);
-    kernel_calls += g2.size();
-    const simd::Regime regime =
-        simd::ChooseRegime(g3.size(), g3.front(), g3.back());
-    if (regime == simd::Regime::kBitmap) bitmap.Build(g3.data(), g3.size());
-    const std::size_t match_cap =
-        static_cast<std::size_t>(max_run) + simd::kOutSlack;
-    const std::size_t parts =
-        par::PartsFor(static_cast<std::size_t>(total_probes), par::Threads(),
-                      kPivotParGrain);
-    if (parts <= 1) {
-      if (match.size() < match_cap) match.resize(match_cap);
-      for (const auto& [u, ri] : g2) {
-        const std::size_t m = intersect_run(ranges[ri], regime, match.data());
-        for (std::size_t i = 0; i < m; ++i) sink.Emit(v, u, match[i]);
-      }
-      continue;
-    }
-    const std::vector<par::Range> splits = par::SplitWeighted(g2_probes, parts);
-    if (emit_bufs.size() < splits.size()) emit_bufs.resize(splits.size());
-    if (match_bufs.size() < splits.size()) match_bufs.resize(splits.size());
-    par::ParallelFor(splits.size(), 1, [&](std::size_t k0, std::size_t k1) {
-      for (std::size_t k = k0; k < k1; ++k) {
-        auto& buf = emit_bufs[k];
-        auto& mbuf = match_bufs[k];
-        buf.clear();
-        if (mbuf.size() < match_cap) mbuf.resize(match_cap);
-        for (std::size_t gi = splits[k].lo; gi < splits[k].hi; ++gi) {
-          const auto& [u, ri] = g2[gi];
-          const std::size_t m = intersect_run(ranges[ri], regime, mbuf.data());
-          for (std::size_t i = 0; i < m; ++i) buf.emplace_back(u, mbuf[i]);
-        }
-      }
-    });
-    for (std::size_t k = 0; k < splits.size(); ++k) {
-      for (const auto& [u, w] : emit_bufs[k]) sink.Emit(v, u, w);
-    }
-  }
-  if (kernel_calls != 0) simd::CountInvocations(kernels.variant, kernel_calls);
-}
-
 }  // namespace internal
 
 struct PivotEnumOptions {
@@ -485,7 +318,6 @@ void PivotEnumerate(em::QuerySession& ctx, em::Array<EdgeT> cone_a,
       std::min(chunk_items, ctx.memory_words() / (words_per + 6));
   chunk_items = std::max<std::size_t>(chunk_items, 1);
 
-  const bool pool_active = par::Threads() > 1;
   const simd::Kernels kernels = simd::Kernels::For(simd::ActiveVariant());
   internal::ResidentChunk<EdgeT> rc;
   for (std::size_t p0 = 0; p0 < pivot.size(); p0 += chunk_items) {
@@ -504,13 +336,8 @@ void PivotEnumerate(em::QuerySession& ctx, em::Array<EdgeT> cone_a,
     {
       obs::Span span("pivot.cone_scan");
       span.AddArg("chunk_items", csize);
-      if (pool_active) {
-        internal::ScanConesPooled<EdgeT>(ctx, rc, kernels, cone_a, cone_b,
-                                         same_cone, sink);
-      } else {
-        internal::ScanConesSerial<EdgeT>(ctx, rc, kernels, cone_a, cone_b,
-                                         same_cone, sink);
-      }
+      internal::ScanCones<EdgeT>(ctx, rc, kernels, cone_a, cone_b, same_cone,
+                                 sink);
     }
   }
 }

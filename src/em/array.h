@@ -41,10 +41,9 @@ inline std::atomic<ScanMode>& DefaultScanModeStorage() {
 /// differential suite and benches flip this to run whole algorithms down
 /// either path; IoStats must not change (asserted by tests/test_hotpath.cc).
 /// The storage is atomic so a read never tears against a concurrent flip,
-/// but the mode is process-wide configuration, not per-thread state: all
-/// Scanner/Writer construction — like every em:: charge — happens on the
-/// main thread, and pool workers (src/par/) must neither flip the default
-/// nor expect a ScopedScanMode on another thread to be visible mid-region.
+/// but the mode is process-wide configuration, not per-thread state: flip
+/// it between runs, never while another thread constructs Scanners or
+/// Writers.
 inline ScanMode DefaultScanMode() {
   return internal::DefaultScanModeStorage().load(std::memory_order_relaxed);
 }
@@ -53,8 +52,8 @@ inline void SetDefaultScanMode(ScanMode m) {
 }
 
 /// RAII scope flipping the default scan mode (used by tests/benches).
-/// Process-wide, like the default it guards: construct and destroy on the
-/// main thread only — a scoped override must never cross pool workers.
+/// Process-wide, like the default it guards: construct and destroy it on
+/// the thread that runs the algorithm.
 class ScopedScanMode {
  public:
   explicit ScopedScanMode(ScanMode m) : saved_(DefaultScanMode()) {
@@ -383,10 +382,10 @@ class Scanner {
     buf_lo_ = pos_;
     buf_hi_ = j;
     // Advice refresh: re-advertise a short window past the line just
-    // buffered. The construction-time range usually covers it (the pool
-    // dedupes overlapping advice); this keeps the hint alive for scanners
-    // whose range was advised before counting was enabled, and re-arms
-    // madvise on very long streams.
+    // buffered. The construction-time range usually covers it (advising an
+    // overlapping range again is harmless); this keeps the hint alive for
+    // scanners whose range was advised before counting was enabled, and
+    // re-arms madvise on very long streams.
     if (j < n) {
       const std::size_t ahead = (8 * b) / w + 1;
       a_.AdviseRange(j, std::min(n, j + ahead), AdviseKind::kSequentialRead);

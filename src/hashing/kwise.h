@@ -39,9 +39,8 @@ inline std::uint64_t AddMod61(std::uint64_t a, std::uint64_t b) {
 /// deterministically from `seed`.
 ///
 /// Every evaluator is const and touches only the immutable coefficient
-/// array, so a constructed hash may be called concurrently from par pool
-/// workers — the contract the batched refinement-bit kernel (the §3
-/// recursion's counting scan in cache_oblivious.cc) relies on.
+/// array, so a constructed hash may be called concurrently from several
+/// threads.
 class FourWiseHash {
  public:
   FourWiseHash() : FourWiseHash(0) {}

@@ -3,7 +3,7 @@
 //
 // Design rules:
 //   - The fast path (Add / Set / Observe) is lock-free: relaxed atomics
-//     only, safe from any thread including the par pool. Registration
+//     only, safe from any thread. Registration
 //     (GetHistogram etc.) interns by name under a mutex and returns a
 //     reference with a stable address, so seam code resolves its
 //     instrument once (function-local static) and never pays the lookup

@@ -17,7 +17,7 @@ std::uint64_t SatSub(std::uint64_t a, std::uint64_t b) {
 }
 
 // Process-wide thread-name registry, decoupled from collector lifetime so
-// long-lived pool workers named at spawn stay named for every later trace.
+// a long-lived thread named once stays named for every later trace.
 std::mutex& NameMu() {
   static std::mutex* mu = new std::mutex;
   return *mu;

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "core/algorithms.h"
 #include "core/sink.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "par/par_config.h"
 
 namespace trienum::query {
 
@@ -80,11 +80,16 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
                             "' (see `trienum list`)");
   }
 
-  // Install the run's process-wide knobs for the duration (threads and the
-  // Scanner/Writer default mode), and resolve the query seed onto the
-  // session. Neither threads nor scan mode may change results or IoStats;
-  // the differential suite runs the matrix to prove it.
-  par::ScopedThreads threads(q.threads);
+  if (q.threads != 1) {
+    std::string msg = "Query::threads must be 1 (got ";
+    msg += std::to_string(q.threads);
+    msg += "): every algorithm runs on the calling thread";
+    return Status::InvalidArgument(std::move(msg));
+  }
+
+  // Install the Scanner/Writer default mode for the duration and resolve
+  // the query seed onto the session. The scan mode may not change results
+  // or IoStats; the differential suite runs the matrix to prove it.
   em::ScopedScanMode scan(q.scan_mode);
   session.set_scan_mode(q.scan_mode);
   session.set_seed(q.seed != 0 ? q.seed : session.config().seed);
@@ -179,7 +184,6 @@ Result<QueryResult> RunQuery(em::QuerySession& session,
                   std::chrono::duration<double, std::milli>>(t1 - t0)
                   .count();
   r.seed_used = session.seed();
-  r.threads_used = par::Threads();
 
   if (tc != nullptr) {
     // Phase table: aggregate the run's sampled spans by name, first

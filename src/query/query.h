@@ -7,8 +7,8 @@
 // Query under the cold-start contract that makes a reused session
 // bit-identical — same triangles in the same order, same IoStats, same
 // internal-work counter — to a fresh em::Context built for that one query
-// (asserted across the full algorithm x backend x scan-mode x threads
-// matrix by tests/test_query_session.cc).
+// (asserted across the full algorithm x backend x scan-mode matrix by
+// tests/test_query_session.cc).
 //
 // The cold-start contract per query:
 //   1. a DeviceRegion opens at the frozen mark (the device top right after
@@ -17,7 +17,7 @@
 //   3. the work counter and the device peak tracker reset;
 //   4. the session seed resolves to the query's seed (store's master seed
 //      when the query leaves it 0);
-//   5. the thread count and scan mode install for the run's duration;
+//   5. the scan mode installs for the run's duration;
 //   6. the algorithm runs, Cache::FlushAll() charges pending output, and
 //      the counters are snapshotted into the QueryResult.
 //
@@ -60,8 +60,8 @@ struct Query {
   /// 0 = keep all). The sink still sees every emission, so the cap never
   /// changes IoStats.
   std::size_t limit = 0;
-  /// Host compute threads for the run (0 = all hardware cores). Never
-  /// changes results or IoStats.
+  /// Must be 1: every algorithm runs on the calling thread. Any other value
+  /// fails the query with InvalidArgument.
   std::size_t threads = 1;
   /// Scanner/Writer data path for the run. Both modes charge identical
   /// IoStats; kElementwise is the reference path for differential tests.
@@ -110,7 +110,6 @@ struct QueryResult {
   em::RecoveryStats recovery;
   double wall_ms = 0;
   std::uint64_t seed_used = 0;
-  std::size_t threads_used = 0;
   /// Per-phase attribution table, first-appearance order. Populated only
   /// when a TraceCollector was installed for the run (empty otherwise —
   /// the untraced path stays allocation-free here).
@@ -126,7 +125,8 @@ struct QueryResult {
 /// Enforces the cold-start contract documented at the top of this header;
 /// the session's device top must be at the frozen mark (i.e. every earlier
 /// query released its region — automatic when all access goes through this
-/// function). Fails with NotFound for an unknown algorithm name.
+/// function). Fails with NotFound for an unknown algorithm name and with
+/// InvalidArgument when `q.threads` is not 1.
 Result<QueryResult> RunQuery(em::QuerySession& session,
                              const graph::EmGraph& g, const Query& q);
 

@@ -80,9 +80,8 @@ inline KernelVariant ActiveVariant() {
   return KernelVariant::kSwar;  // unreachable
 }
 
-/// Kernel entry points bump their variant's counter (relaxed; kernels are
-/// only entered from the calling thread, never from pool workers mid-batch,
-/// but relaxed atomics keep the counters safe under any caller).
+/// Kernel entry points bump their variant's counter (relaxed atomics keep
+/// the counters safe under any caller).
 inline void CountInvocation(KernelVariant v) {
   internal::VariantCounter(v).fetch_add(1, std::memory_order_relaxed);
 }

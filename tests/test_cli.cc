@@ -148,46 +148,6 @@ TEST(CliSmoke, NonexistentTempDirFails) {
       /*expected_status=*/2);
 }
 
-TEST(CliSmoke, ThreadsFlagIsEchoedAndLeavesResultsAndIoUnchanged) {
-  // --threads must change wall clock at most: same triangles, same counted
-  // block I/Os, same internal work as the serial run (the par subsystem's
-  // IoStats-invariance contract, end to end through the CLI).
-  const std::string common =
-      "count --algo=mgt --graph=rmat:scale=8,m=2000,seed=11"
-      " --memory=2048 --block=32 --seed=7";
-  std::string serial = RunCli(common + " --threads=1");
-  std::string par = RunCli(common + " --threads=7");
-  EXPECT_EQ(ReportValue(serial, "threads"), "1");
-  EXPECT_EQ(ReportValue(par, "threads"), "7");
-  EXPECT_EQ(ReportValue(par, "triangles"), ReportValue(serial, "triangles"));
-  EXPECT_EQ(ReportValue(par, "block_reads"), ReportValue(serial, "block_reads"));
-  EXPECT_EQ(ReportValue(par, "block_writes"),
-            ReportValue(serial, "block_writes"));
-  EXPECT_EQ(ReportValue(par, "block_ios"), ReportValue(serial, "block_ios"));
-  EXPECT_EQ(ReportValue(par, "internal_work"),
-            ReportValue(serial, "internal_work"));
-}
-
-TEST(CliSmoke, ThreadsZeroResolvesToHardwareConcurrency) {
-  std::string out = RunCli(
-      "count --algo=ps-cache-aware --graph=clique:k=8"
-      " --memory=1024 --block=16 --threads=0");
-  // 0 = all hardware cores: the echoed value is the resolved count, >= 1.
-  EXPECT_GE(std::stoull(ReportValue(out, "threads")), 1u);
-  EXPECT_EQ(ReportValue(out, "triangles"), "56");  // C(8,3)
-}
-
-TEST(CliSmoke, ThreadsDefaultIsOne) {
-  std::string out = RunCli(
-      "count --algo=ps-cache-aware --graph=clique:k=5 --memory=1024 --block=16");
-  EXPECT_EQ(ReportValue(out, "threads"), "1");
-}
-
-TEST(CliSmoke, InvalidThreadsFails) {
-  RunCli("count --algo=mgt --graph=clique:k=5 --threads=lots",
-         /*expected_status=*/2);
-}
-
 TEST(CliSmoke, KernelsFlagIsEchoedAndLeavesResultsAndIoUnchanged) {
   // --kernels is a pure performance knob: forcing the scalar reference path
   // must reproduce the default (auto) run's triangles, block I/Os, and
@@ -238,6 +198,9 @@ TEST(CliSmoke, UnknownOptionFailsWithUsageHint) {
   RunCli("count --algo=mgt --graph=clique:k=5 --prefetch=8",
          /*expected_status=*/2);
   RunCli("count --algo=mgt --graph=clique:k=5 --prefetch-threads=2",
+         /*expected_status=*/2);
+  // So must the removed host-thread flag.
+  RunCli("count --algo=mgt --graph=clique:k=5 --threads=2",
          /*expected_status=*/2);
 }
 
@@ -517,6 +480,9 @@ TEST(CliQuery, BadScriptLineFails) {
          /*expected_status=*/2);
   TempScript script2("count --bogus=1\n");
   RunCli("query --graph=clique:k=5 --script=" + script2.path,
+         /*expected_status=*/2);
+  TempScript script3("count --threads=2\n");
+  RunCli("query --graph=clique:k=5 --script=" + script3.path,
          /*expected_status=*/2);
 }
 

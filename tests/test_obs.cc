@@ -1,7 +1,7 @@
 // The observability invariance contract, pinned: installing a
 // TraceCollector (spans sampled, histograms windowed) must be bit-invisible
 // to triangles, emission order, IoStats, internal work, and the resolved
-// seed, across the full algorithm x backend x scan-mode x threads matrix.
+// seed, across the full algorithm x backend x scan-mode x query-kind matrix.
 // Plus the subsystem's own unit surface: histogram bucket geometry and
 // windowed deltas, registry snapshot consistency under concurrent writers,
 // span-imbalance death, exclusive-delta telescoping, and Chrome-JSON
@@ -329,7 +329,9 @@ struct Cell {
   std::string algo;
   em::StorageKind storage;
   em::ScanMode scan_mode;
-  std::size_t threads;
+  /// kEnumerate pins emission order; kPerEdge routes every emission through
+  /// the aggregating sink, whose host-side tally must stay invisible too.
+  query::QueryKind kind;
 };
 
 class ObsInvarianceMatrix : public ::testing::TestWithParam<Cell> {};
@@ -339,10 +341,9 @@ query::QueryResult RunOnce(const Cell& c, const std::vector<graph::Edge>& raw,
   query::LoadedGraph lg =
       *query::LoadedGraph::FromEdges(TestConfig(c.storage), raw);
   query::Query q;
-  q.kind = query::QueryKind::kEnumerate;
+  q.kind = c.kind;
   q.algo = c.algo;
   q.scan_mode = c.scan_mode;
-  q.threads = c.threads;
 
   if (!traced) return *lg.Run(q);
   obs::TraceCollector tc;
@@ -361,6 +362,14 @@ TEST_P(ObsInvarianceMatrix, TracedRunIsBitIdenticalToUntraced) {
 
   EXPECT_EQ(traced.triangles, plain.triangles);
   EXPECT_EQ(traced.list, plain.list) << "emission order drifted under trace";
+  if (c.kind == query::QueryKind::kPerEdge) {
+    EXPECT_FALSE(plain.per_edge.empty()) << "degenerate fixture: no support";
+  }
+  ASSERT_EQ(traced.per_edge.size(), plain.per_edge.size());
+  for (std::size_t i = 0; i < plain.per_edge.size(); ++i) {
+    EXPECT_EQ(traced.per_edge[i].e, plain.per_edge[i].e) << i;
+    EXPECT_EQ(traced.per_edge[i].count, plain.per_edge[i].count) << i;
+  }
   EXPECT_EQ(traced.io.block_reads, plain.io.block_reads);
   EXPECT_EQ(traced.io.block_writes, plain.io.block_writes);
   EXPECT_EQ(traced.io.cache_hits, plain.io.cache_hits);
@@ -383,8 +392,9 @@ std::vector<Cell> AllCells() {
           em::StorageKind::kMmap}) {
       for (em::ScanMode mode :
            {em::ScanMode::kBuffered, em::ScanMode::kElementwise}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-          cells.push_back(Cell{a.name, storage, mode, threads});
+        for (query::QueryKind kind :
+             {query::QueryKind::kEnumerate, query::QueryKind::kPerEdge}) {
+          cells.push_back(Cell{a.name, storage, mode, kind});
         }
       }
     }
@@ -403,7 +413,7 @@ std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   }
   name +=
       c.scan_mode == em::ScanMode::kElementwise ? "_elementwise" : "_buffered";
-  name += "_t" + std::to_string(c.threads);
+  if (c.kind == query::QueryKind::kPerEdge) name += "_per_edge";
   return name;
 }
 

@@ -3,11 +3,12 @@
 // the same emission order, same IoStats (reads, writes AND hits), same
 // internal-work counter — to the same query answered by a fresh em::Context
 // built for that one run. Exercised across the full algorithm x backend x
-// scan-mode x threads matrix, plus consistency checks for the per-vertex and
-// per-edge query kinds and the Cache::ResetCounters residency contract.
+// scan-mode x query-mix matrix, plus consistency checks for the per-vertex
+// and per-edge query kinds and the Cache::ResetCounters residency contract.
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,6 +59,13 @@ void ExpectBitIdentical(const query::QueryResult& reused,
                         const std::string& label) {
   EXPECT_EQ(reused.triangles, fresh.triangles) << label;
   EXPECT_EQ(reused.list, fresh.list) << label << " (emission order)";
+  EXPECT_EQ(reused.per_vertex, fresh.per_vertex) << label;
+  ASSERT_EQ(reused.per_edge.size(), fresh.per_edge.size()) << label;
+  for (std::size_t i = 0; i < fresh.per_edge.size(); ++i) {
+    EXPECT_EQ(reused.per_edge[i].e, fresh.per_edge[i].e) << label << " " << i;
+    EXPECT_EQ(reused.per_edge[i].count, fresh.per_edge[i].count)
+        << label << " " << i;
+  }
   EXPECT_EQ(reused.io.block_reads, fresh.io.block_reads) << label;
   EXPECT_EQ(reused.io.block_writes, fresh.io.block_writes) << label;
   EXPECT_EQ(reused.io.cache_hits, fresh.io.cache_hits) << label;
@@ -66,29 +74,49 @@ void ExpectBitIdentical(const query::QueryResult& reused,
   EXPECT_EQ(reused.device_peak_words, fresh.device_peak_words) << label;
 }
 
-/// One matrix cell: three queries (enumerate, seeded count, enumerate again)
-/// through one reused session, each compared against a fresh context.
+/// Which three queries a cell sends through its session.
+enum class QueryMix {
+  kEnumerateCount,  ///< enumerate, seeded count, enumerate again
+  kAggregates,      ///< per-vertex, seeded per-edge, per-vertex again
+};
+
+const char* StorageName(em::StorageKind storage) {
+  switch (storage) {
+    case em::StorageKind::kMemory: return "memory";
+    case em::StorageKind::kFile: return "file";
+    case em::StorageKind::kMmap: return "mmap";
+  }
+  return "?";
+}
+
+/// One matrix cell: three queries through one reused session, each compared
+/// against a fresh context.
 void RunCell(const std::string& algo, em::StorageKind storage,
-             em::ScanMode scan_mode, std::size_t threads) {
+             em::ScanMode scan_mode, QueryMix mix) {
   const std::vector<graph::Edge> raw = FixtureEdges();
   query::LoadedGraph lg =
       *query::LoadedGraph::FromEdges(TestConfig(storage), raw);
 
   std::vector<query::Query> queries(3);
-  queries[0].kind = query::QueryKind::kEnumerate;
-  queries[1].kind = query::QueryKind::kCount;
+  if (mix == QueryMix::kEnumerateCount) {
+    queries[0].kind = query::QueryKind::kEnumerate;
+    queries[1].kind = query::QueryKind::kCount;
+    queries[2].kind = query::QueryKind::kEnumerate;
+  } else {
+    queries[0].kind = query::QueryKind::kPerVertex;
+    queries[1].kind = query::QueryKind::kPerEdge;
+    queries[2].kind = query::QueryKind::kPerVertex;
+  }
   queries[1].seed = 0xFEED;  // per-query override of the master seed
-  queries[2].kind = query::QueryKind::kEnumerate;
   for (query::Query& q : queries) {
     q.algo = algo;
     q.scan_mode = scan_mode;
-    q.threads = threads;
   }
 
   const std::string cell =
-      algo + (storage == em::StorageKind::kFile ? "/file" : "/memory") +
+      algo + "/" + StorageName(storage) +
       (scan_mode == em::ScanMode::kElementwise ? "/elementwise" : "/buffered") +
-      "/t" + std::to_string(threads);
+      (mix == QueryMix::kAggregates ? "/aggregates" : "");
   for (std::size_t i = 0; i < queries.size(); ++i) {
     Result<query::QueryResult> reused = lg.Run(queries[i]);
     ASSERT_TRUE(reused.ok()) << cell;
@@ -104,25 +132,26 @@ struct Cell {
   std::string algo;
   em::StorageKind storage;
   em::ScanMode scan_mode;
-  std::size_t threads;
+  QueryMix mix;
 };
 
 class QuerySessionMatrix : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(QuerySessionMatrix, ReusedSessionMatchesFreshContext) {
   const Cell& c = GetParam();
-  RunCell(c.algo, c.storage, c.scan_mode, c.threads);
+  RunCell(c.algo, c.storage, c.scan_mode, c.mix);
 }
 
 std::vector<Cell> AllCells() {
   std::vector<Cell> cells;
   for (const core::AlgorithmInfo& a : core::AllAlgorithms()) {
     for (em::StorageKind storage :
-         {em::StorageKind::kMemory, em::StorageKind::kFile}) {
+         {em::StorageKind::kMemory, em::StorageKind::kFile,
+          em::StorageKind::kMmap}) {
       for (em::ScanMode mode :
            {em::ScanMode::kBuffered, em::ScanMode::kElementwise}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-          cells.push_back(Cell{a.name, storage, mode, threads});
+        for (QueryMix mix : {QueryMix::kEnumerateCount, QueryMix::kAggregates}) {
+          cells.push_back(Cell{a.name, storage, mode, mix});
         }
       }
     }
@@ -134,9 +163,9 @@ std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   const Cell& c = info.param;
   std::string name = c.algo;
   std::replace(name.begin(), name.end(), '-', '_');
-  name += c.storage == em::StorageKind::kFile ? "_file" : "_memory";
+  name += std::string("_") + StorageName(c.storage);
   name += c.scan_mode == em::ScanMode::kElementwise ? "_elementwise" : "_buffered";
-  name += "_t" + std::to_string(c.threads);
+  if (c.mix == QueryMix::kAggregates) name += "_aggregates";
   return name;
 }
 
@@ -252,6 +281,26 @@ TEST(QueryErrors, UnknownAlgorithmIsNotFoundNotAbort) {
   // The failed dispatch must not have broken the session for later queries.
   q.algo = "mgt";
   EXPECT_TRUE(lg.Run(q).ok());
+}
+
+TEST(QueryErrors, ThreadsOtherThanOneIsInvalidArgument) {
+  query::LoadedGraph lg = *query::LoadedGraph::FromEdges(
+      TestConfig(em::StorageKind::kMemory), graph::Clique(4));
+  query::Query q;
+  q.algo = "mgt";
+  for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    q.threads = threads;
+    Result<query::QueryResult> r = lg.Run(q);
+    ASSERT_FALSE(r.ok()) << "threads=" << threads;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("Query::threads"), std::string::npos)
+        << r.status().ToString();
+  }
+  // The rejected queries left the session usable.
+  q.threads = 1;
+  Result<query::QueryResult> r = lg.Run(q);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->triangles, 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 // Kernels-on vs kernels-off differential: the hard contract of the simd
 // subsystem is that kernel choice is invisible to everything the I/O model
-// observes. For every registered algorithm, across storage backends, scan
-// modes and thread counts, a run under the vectorized policies (kSwar,
-// kAuto, and a forced kAvx2 request) must reproduce the scalar-policy run
-// byte-for-byte: the same triangles IN THE SAME EMISSION ORDER, identical
+// observes. For every registered algorithm, across storage backends and
+// scan modes, a run under the vectorized policies (kSwar, kAuto, and a
+// forced kAvx2 request) must reproduce the scalar-policy run byte-for-byte: the same triangles IN THE SAME EMISSION ORDER, identical
 // IoStats (block reads, block writes AND cache hits), and an identical
 // host work counter. The invocation counters additionally prove the
 // vectorized runs actually exercised the kernels — the equalities are not
@@ -19,7 +18,6 @@
 #include "em/cache.h"
 #include "em/context.h"
 #include "graph/generators.h"
-#include "par/par_config.h"
 #include "simd/kernel_policy.h"
 #include "test_util.h"
 
@@ -41,10 +39,8 @@ struct KernelRun {
 
 KernelRun RunWithMode(const std::string& algo,
                       const std::vector<graph::Edge>& raw, KernelMode kmode,
-                      std::size_t threads, em::StorageKind storage,
-                      em::ScanMode smode) {
+                      em::StorageKind storage, em::ScanMode smode) {
   simd::ScopedKernelMode kscope(kmode);
-  par::ScopedThreads tscope(threads);
   em::ScopedScanMode mscope(smode);
   em::Context ctx = test::MakeContext(1 << 11, 32, 0x7001, storage);
   graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
@@ -72,8 +68,7 @@ void ExpectIdentical(const KernelRun& got, const KernelRun& base,
 }
 
 TEST(SimdInvariance, EveryAlgorithmAcrossBackendsAndScanModes) {
-  // Threads fixed at 1; the backend x scan-mode plane under every kernel
-  // policy. (The thread axis gets its own matrix below.)
+  // The backend x scan-mode plane under every kernel policy.
   const std::vector<graph::Edge> raw =
       graph::Rmat(9, 1200, 0.45, 0.22, 0.22, 31);
   const em::StorageKind backends[] = {em::StorageKind::kMemory,
@@ -84,11 +79,11 @@ TEST(SimdInvariance, EveryAlgorithmAcrossBackendsAndScanModes) {
     for (em::StorageKind storage : backends) {
       for (em::ScanMode smode : smodes) {
         const KernelRun base =
-            RunWithMode(algo, raw, KernelMode::kScalar, 1, storage, smode);
+            RunWithMode(algo, raw, KernelMode::kScalar, storage, smode);
         ASSERT_FALSE(base.triangles.empty()) << algo;
         for (KernelMode kmode : {KernelMode::kSwar, KernelMode::kAuto}) {
           const KernelRun got =
-              RunWithMode(algo, raw, kmode, 1, storage, smode);
+              RunWithMode(algo, raw, kmode, storage, smode);
           ExpectIdentical(
               got, base,
               std::string(algo) + " kernels=" + simd::KernelModeName(kmode) +
@@ -101,28 +96,6 @@ TEST(SimdInvariance, EveryAlgorithmAcrossBackendsAndScanModes) {
   }
 }
 
-TEST(SimdInvariance, EveryAlgorithmAcrossThreadCounts) {
-  // The kernel x thread-pool interaction: at each thread count the scalar
-  // and vectorized runs must agree with each other (and, through
-  // test_parallel.cc's matrix, with the serial run).
-  const std::vector<graph::Edge> raw =
-      graph::Rmat(9, 1200, 0.45, 0.22, 0.22, 31);
-  for (const char* algo : kAllAlgorithms) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
-      const KernelRun base =
-          RunWithMode(algo, raw, KernelMode::kScalar, threads,
-                      em::StorageKind::kMemory, em::ScanMode::kBuffered);
-      ASSERT_FALSE(base.triangles.empty()) << algo;
-      const KernelRun got =
-          RunWithMode(algo, raw, KernelMode::kAuto, threads,
-                      em::StorageKind::kMemory, em::ScanMode::kBuffered);
-      ExpectIdentical(got, base,
-                      std::string(algo) + " threads=" +
-                          std::to_string(threads) + " kernels=auto");
-    }
-  }
-}
-
 TEST(SimdInvariance, ForcedAvx2RequestMatchesScalarEverywhere) {
   // A kAvx2 request runs AVX2 where available and degrades to SWAR
   // elsewhere — either way the run must equal the scalar baseline, which
@@ -130,10 +103,10 @@ TEST(SimdInvariance, ForcedAvx2RequestMatchesScalarEverywhere) {
   const std::vector<graph::Edge> raw = graph::Gnm(200, 900, 47);
   for (const char* algo : {"mgt", "ps-cache-aware", "edge-iterator"}) {
     const KernelRun base =
-        RunWithMode(algo, raw, KernelMode::kScalar, 1,
-                    em::StorageKind::kMemory, em::ScanMode::kBuffered);
+        RunWithMode(algo, raw, KernelMode::kScalar, em::StorageKind::kMemory,
+                    em::ScanMode::kBuffered);
     const KernelRun got =
-        RunWithMode(algo, raw, KernelMode::kAvx2, 1, em::StorageKind::kMemory,
+        RunWithMode(algo, raw, KernelMode::kAvx2, em::StorageKind::kMemory,
                     em::ScanMode::kBuffered);
     ExpectIdentical(got, base, std::string(algo) + " kernels=avx2(forced)");
   }
@@ -145,7 +118,7 @@ TEST(SimdInvariance, VectorizedRunsActuallyEnterTheKernels) {
   // run must keep the vectorized counters at zero.
   const std::vector<graph::Edge> raw = graph::Clique(24);
   simd::ResetInvocationCounters();
-  RunWithMode("mgt", raw, KernelMode::kAuto, 1, em::StorageKind::kMemory,
+  RunWithMode("mgt", raw, KernelMode::kAuto, em::StorageKind::kMemory,
               em::ScanMode::kBuffered);
   const KernelVariant resolved =
       simd::Avx2Available() ? KernelVariant::kAvx2 : KernelVariant::kSwar;
@@ -153,7 +126,7 @@ TEST(SimdInvariance, VectorizedRunsActuallyEnterTheKernels) {
   EXPECT_EQ(simd::Invocations(KernelVariant::kScalar), 0u);
 
   simd::ResetInvocationCounters();
-  RunWithMode("mgt", raw, KernelMode::kScalar, 1, em::StorageKind::kMemory,
+  RunWithMode("mgt", raw, KernelMode::kScalar, em::StorageKind::kMemory,
               em::ScanMode::kBuffered);
   EXPECT_GT(simd::Invocations(KernelVariant::kScalar), 0u);
   EXPECT_EQ(simd::Invocations(KernelVariant::kSwar), 0u);
@@ -166,11 +139,11 @@ TEST(SimdInvariance, DenseHubDrivesTheBitmapRegimeToTheSameAnswer) {
   // variant choice.
   const std::vector<graph::Edge> raw = graph::Clique(80);
   const KernelRun base =
-      RunWithMode("mgt", raw, KernelMode::kScalar, 1, em::StorageKind::kMemory,
+      RunWithMode("mgt", raw, KernelMode::kScalar, em::StorageKind::kMemory,
                   em::ScanMode::kBuffered);
   ASSERT_EQ(base.triangles.size(), 80u * 79u * 78u / 6u);
   for (KernelMode kmode : {KernelMode::kSwar, KernelMode::kAuto}) {
-    const KernelRun got = RunWithMode("mgt", raw, kmode, 1,
+    const KernelRun got = RunWithMode("mgt", raw, kmode,
                                       em::StorageKind::kMemory,
                                       em::ScanMode::kBuffered);
     ExpectIdentical(got, base, std::string("dense hub kernels=") +
@@ -181,9 +154,8 @@ TEST(SimdInvariance, DenseHubDrivesTheBitmapRegimeToTheSameAnswer) {
 TEST(SimdInvariance, Clique4JoinIsKernelPolicyInvariant) {
   // The 4-clique wedge join's flat-set membership batches.
   const std::vector<graph::Edge> raw = graph::CliqueUnion(4, 9);
-  auto run = [&](KernelMode kmode, std::size_t threads) {
+  auto run = [&](KernelMode kmode) {
     simd::ScopedKernelMode kscope(kmode);
-    par::ScopedThreads tscope(threads);
     em::Context ctx = test::MakeContext(1 << 11, 32);
     graph::EmGraph g = graph::BuildEmGraph(ctx, raw);
     ctx.cache().Reset();
@@ -192,19 +164,16 @@ TEST(SimdInvariance, Clique4JoinIsKernelPolicyInvariant) {
     ctx.cache().FlushAll();
     return std::make_pair(sink.cliques(), ctx.cache().stats());
   };
-  for (std::size_t threads : {std::size_t{1}, std::size_t{7}}) {
-    const auto [base_quads, base_io] = run(KernelMode::kScalar, threads);
-    EXPECT_FALSE(base_quads.empty());
-    for (KernelMode kmode : {KernelMode::kSwar, KernelMode::kAuto}) {
-      const auto [quads, io] = run(kmode, threads);
-      const std::string label = std::string("clique4 threads=") +
-                                std::to_string(threads) + " kernels=" +
-                                simd::KernelModeName(kmode);
-      EXPECT_EQ(quads, base_quads) << label;
-      EXPECT_EQ(io.block_reads, base_io.block_reads) << label;
-      EXPECT_EQ(io.block_writes, base_io.block_writes) << label;
-      EXPECT_EQ(io.cache_hits, base_io.cache_hits) << label;
-    }
+  const auto [base_quads, base_io] = run(KernelMode::kScalar);
+  EXPECT_FALSE(base_quads.empty());
+  for (KernelMode kmode : {KernelMode::kSwar, KernelMode::kAuto}) {
+    const auto [quads, io] = run(kmode);
+    const std::string label =
+        std::string("clique4 kernels=") + simd::KernelModeName(kmode);
+    EXPECT_EQ(quads, base_quads) << label;
+    EXPECT_EQ(io.block_reads, base_io.block_reads) << label;
+    EXPECT_EQ(io.block_writes, base_io.block_writes) << label;
+    EXPECT_EQ(io.cache_hits, base_io.cache_hits) << label;
   }
 }
 

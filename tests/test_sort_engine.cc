@@ -23,16 +23,15 @@
 #include "extsort/funnel_sort.h"
 #include "extsort/io_bounds.h"
 #include "extsort/loser_tree.h"
-#include "extsort/merge_runs.h"
 #include "extsort/run_formation.h"
 #include "extsort/sort_key.h"
-#include "par/par_config.h"
 #include "test_util.h"
 
 namespace trienum {
 namespace {
 
 using extsort::LoserTree;
+using extsort::RunScratch;
 using extsort::SortKeyTraits;
 using extsort::SortRun;
 
@@ -228,6 +227,76 @@ TEST(SortRun, KeylessComparatorFallsBackStable) {
       PlainLess{}, [](Pattern p, std::size_t i, std::size_t n, SplitMix64& rng) {
         return PatternValue(p, i, n, rng);
       });
+}
+
+// Loads far past the 5000-record differential sizes: full-width random keys
+// scatter on all eight byte passes (an even count, so the result lands back
+// in place), 24-bit keys on three (an odd count: the final copy-back), each
+// with the input index as the stability witness.
+template <typename T, typename Less, typename Make>
+void LargeLoadDifferential(std::size_t n, Less less, Make make) {
+  for (int key_bits : {64, 24}) {
+    SplitMix64 rng(0x9A17 ^ static_cast<std::uint64_t>(key_bits));
+    const std::uint64_t mask =
+        key_bits == 64 ? ~std::uint64_t{0}
+                       : (std::uint64_t{1} << key_bits) - 1;
+    std::vector<T> input(n);
+    for (std::size_t i = 0; i < n; ++i) input[i] = make(rng.Next() & mask, i);
+    std::vector<T> expect = input;
+    std::stable_sort(expect.begin(), expect.end(), less);
+    std::vector<T> got = input;
+    SortRun(got.data(), got.size(), less);
+    ASSERT_EQ(got, expect) << "n=" << n << " key_bits=" << key_bits;
+  }
+}
+
+TEST(SortRunLargeLoads, DirectScatterMatchesStableSort) {
+  LargeLoadDifferential<Mid24>(
+      std::size_t{1} << 16, Mid24Less{},
+      [](std::uint64_t k, std::size_t i) { return Mid24{k, i, ~i}; });
+}
+
+TEST(SortRunLargeLoads, IndexPermuteMatchesStableSort) {
+  LargeLoadDifferential<WideRec>(
+      (std::size_t{1} << 15) + 1237, WideLess{},
+      [](std::uint64_t k, std::size_t i) { return WideRec{k, i, ~i, i * 3}; });
+}
+
+TEST(SortRunLargeLoads, ReusedScratchAcrossGrowingAndShrinkingLoads) {
+  // The run loop hands one RunScratch to every load of a sort. Buffers left
+  // larger than the next load, and the prefix-key path's release of them
+  // mid-sort, must never leak into a later load's order.
+  RunScratch<Mid24> direct;
+  RunScratch<WideRec> permute;
+  RunScratch<Tri96> prefix;
+  SplitMix64 rng(0x5C7A);
+  for (std::size_t n : {std::size_t{40000}, std::size_t{500}, std::size_t{48},
+                        std::size_t{70000}, std::size_t{3000}}) {
+    std::vector<Mid24> d(n);
+    std::vector<WideRec> w(n);
+    std::vector<Tri96> t(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t v = rng.Next();
+      d[i] = Mid24{v % 1009, i, ~i};
+      w[i] = WideRec{v >> 40, i, ~i, i * 3};
+      // One large key class ((0, 0) prefix) forces the stable_sort branch.
+      t[i] = Tri96{static_cast<std::uint32_t>(v % 3 == 0 ? 0 : v % 7),
+                   static_cast<std::uint32_t>(v % 3 == 0 ? 0 : (v >> 8) % 7),
+                   static_cast<std::uint32_t>((v >> 16) % 1000), 0};
+    }
+    std::vector<Mid24> de = d;
+    std::vector<WideRec> we = w;
+    std::vector<Tri96> te = t;
+    std::stable_sort(de.begin(), de.end(), Mid24Less{});
+    std::stable_sort(we.begin(), we.end(), WideLess{});
+    std::stable_sort(te.begin(), te.end(), Tri96Less{});
+    SortRun(d.data(), n, direct, Mid24Less{});
+    SortRun(w.data(), n, permute, WideLess{});
+    SortRun(t.data(), n, prefix, Tri96Less{});
+    ASSERT_EQ(d, de) << "direct n=" << n;
+    ASSERT_EQ(w, we) << "permute n=" << n;
+    ASSERT_EQ(t, te) << "prefix n=" << n;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -551,151 +620,6 @@ TEST(SortEngine, IoBoundHeaderPricesTheEngine) {
   ctx.cache().FlushAll();
   double bound = extsort::SortIoBound(n, 1, m, b);
   EXPECT_LE(static_cast<double>(ctx.cache().stats().total_ios()), 3.0 * bound);
-}
-
-// ---------------------------------------------------------------------------
-// 7. Host-side k-way run merge: the key-space-partitioned parallel merge
-// must reproduce the serial stable merge bit-for-bit at every thread
-// count — including on the inputs that stress the splitter logic
-// (dup-heavy keys, presorted runs, all keys equal, skewed run lengths,
-// empty runs). Provenance tags make any reordering of equal keys visible.
-
-/// Sorted runs of (key, tag) records where tag encodes (run, position) —
-/// one byte pattern per record, so equality is exact provenance.
-std::vector<std::vector<KeyedPayload>> MakeTaggedRuns(
-    Pattern p, std::size_t k, std::size_t per_run, std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  std::vector<std::vector<KeyedPayload>> runs(k);
-  for (std::size_t r = 0; r < k; ++r) {
-    // Skew: run 0 is long, later runs shrink (run lengths differ so the
-    // splitters come from a genuinely dominant run).
-    const std::size_t len = per_run / (r + 1);
-    runs[r].resize(len);
-    for (std::size_t i = 0; i < len; ++i) {
-      runs[r][i].k = static_cast<std::uint32_t>(
-          PatternValue(p, i, len, rng) % 97);
-      runs[r][i].tag = static_cast<std::uint32_t>((r << 20) | i);
-    }
-    std::stable_sort(runs[r].begin(), runs[r].end(), KeyedPayloadLess{});
-  }
-  return runs;
-}
-
-TEST(MergeRuns, ParallelEqualsSerialStableMergeAcrossThreads) {
-  for (Pattern p : {Pattern::kDupHeavy, Pattern::kSorted, Pattern::kAllEqual,
-                    Pattern::kRandom}) {
-    for (std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-      const auto owned = MakeTaggedRuns(p, k, 9000, 0xD00D ^ k);
-      std::vector<extsort::RunView<KeyedPayload>> runs(k);
-      std::size_t total = 0;
-      for (std::size_t r = 0; r < k; ++r) {
-        runs[r] = {owned[r].data(), owned[r].size()};
-        total += owned[r].size();
-      }
-      std::vector<KeyedPayload> expect(total);
-      extsort::MergeRunsSerial(runs, expect.data(), KeyedPayloadLess{});
-      // The serial reference is itself a stable merge: equal keys come out
-      // in run order, and within a run in position order.
-      ASSERT_TRUE(std::is_sorted(expect.begin(), expect.end(),
-                                 [](const KeyedPayload& a,
-                                    const KeyedPayload& b) {
-                                   return a.k != b.k ? a.k < b.k
-                                                     : a.tag < b.tag;
-                                 }))
-          << PatternName(p) << " k=" << k;
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{7}}) {
-        par::ScopedThreads scope(threads);
-        std::vector<KeyedPayload> got(total,
-                                      KeyedPayload{0xFFFFFFFFu, 0xFFFFFFFFu});
-        extsort::MergeSortedRuns(runs, got.data(), KeyedPayloadLess{});
-        ASSERT_EQ(got, expect)
-            << PatternName(p) << " k=" << k << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(MergeRuns, EmptyAndDegenerateRuns) {
-  par::ScopedThreads scope(7);
-  // All runs empty.
-  std::vector<extsort::RunView<KeyedPayload>> empty(3);
-  extsort::MergeSortedRuns(empty, static_cast<KeyedPayload*>(nullptr),
-                           KeyedPayloadLess{});
-  // One run empty among real ones, total large enough to fan out.
-  const auto owned = MakeTaggedRuns(Pattern::kDupHeavy, 4, 40000, 0xD11D);
-  std::vector<extsort::RunView<KeyedPayload>> runs(5);
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < 4; ++r) {
-    runs[r] = {owned[r].data(), owned[r].size()};
-    total += owned[r].size();
-  }
-  runs[4] = {nullptr, 0};
-  std::vector<KeyedPayload> expect(total), got(total);
-  extsort::MergeRunsSerial(runs, expect.data(), KeyedPayloadLess{});
-  extsort::MergeSortedRuns(runs, got.data(), KeyedPayloadLess{});
-  EXPECT_EQ(got, expect);
-}
-
-// ---------------------------------------------------------------------------
-// 8. The keyless SortRun path (chunked parallel stable sorts + run merge)
-// against std::stable_sort, and the end-to-end keyless external sort:
-// output AND IoStats must be thread-count invariant (run formation is pure
-// host compute between the engine's charged passes).
-
-TEST(SortRunParallel, KeylessFallbackMatchesStableSortAcrossThreads) {
-  for (Pattern p : {Pattern::kDupHeavy, Pattern::kSorted, Pattern::kAllEqual,
-                    Pattern::kRandom}) {
-    // Above the parallel grain so the chunked path actually engages.
-    for (std::size_t n : {std::size_t{300}, std::size_t{40000}}) {
-      SplitMix64 rng(0xBEEF ^ n);
-      std::vector<std::uint64_t> input(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        input[i] = PatternValue(p, i, n, rng);
-      }
-      std::vector<std::uint64_t> expect = input;
-      std::stable_sort(expect.begin(), expect.end(), PlainLess{});
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{7}}) {
-        par::ScopedThreads scope(threads);
-        std::vector<std::uint64_t> got = input;
-        SortRun(got.data(), got.size(), PlainLess{});
-        ASSERT_EQ(got, expect)
-            << PatternName(p) << " n=" << n << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(SortRunParallel, KeylessExternalSortKeepsOutputAndIoStatsIdentical) {
-  // M = 2^16 words: 65536-record loads, well above the merge grain, so the
-  // keyless run formation chunks and merges in parallel at threads > 1.
-  const std::size_t n = 1 << 17, m = 1 << 16, b = 64;
-  auto run = [&](std::size_t threads) {
-    par::ScopedThreads scope(threads);
-    em::Context ctx = test::MakeContext(m, b);
-    em::Array<std::uint64_t> a = ctx.Alloc<std::uint64_t>(n);
-    SplitMix64 rng(0xFACE);
-    ctx.cache().set_counting(false);
-    for (std::size_t i = 0; i < n; ++i) a.Set(i, rng.Next() % 13);
-    ctx.cache().set_counting(true);
-    ctx.cache().Reset();
-    extsort::ExternalMergeSort(ctx, a, PlainLess{});
-    ctx.cache().FlushAll();
-    std::vector<std::uint64_t> out(n);
-    ctx.cache().set_counting(false);
-    a.ReadTo(0, n, out.data());
-    return std::make_pair(out, ctx.cache().stats());
-  };
-  const auto [base_out, base_io] = run(1);
-  ASSERT_TRUE(std::is_sorted(base_out.begin(), base_out.end(), PlainLess{}));
-  for (std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-    const auto [out, io] = run(threads);
-    ASSERT_EQ(out, base_out) << "threads " << threads;
-    EXPECT_EQ(io.block_reads, base_io.block_reads) << "threads " << threads;
-    EXPECT_EQ(io.block_writes, base_io.block_writes) << "threads " << threads;
-    EXPECT_EQ(io.cache_hits, base_io.cache_hits) << "threads " << threads;
-  }
 }
 
 }  // namespace

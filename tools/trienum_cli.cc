@@ -41,7 +41,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "par/par_config.h"
 #include "query/query.h"
 #include "simd/kernel_policy.h"
 
@@ -64,7 +63,6 @@ constexpr char kUsage[] =
     "\n"
     "query scripts (one query per line; '#' starts a comment):\n"
     "  <count|enumerate|per-vertex|per-edge> [--algo=] [--seed=] [--limit=]\n"
-    "                                        [--threads=]\n"
     "\n"
     "options (count / enumerate / query):\n"
     "  --algo=<name>             algorithm name from `trienum list`, or\n"
@@ -83,9 +81,6 @@ constexpr char kUsage[] =
     "                                    pages, scan advice maps to madvise\n"
     "  --temp-dir=<path>         dir for the file backend's (unlinked) temp\n"
     "                            file (default $TMPDIR, then /tmp)\n"
-    "  --threads=<N>             host compute threads (default 1; 0 = all\n"
-    "                            hardware cores). Parallelism never changes\n"
-    "                            the result or the counted block I/Os\n"
     "  --kernels=<mode>          intersection kernel policy: auto (default),\n"
     "                            scalar, swar, or avx2. Pure performance\n"
     "                            knob: every mode yields identical results,\n"
@@ -106,9 +101,9 @@ constexpr char kUsage[] =
     "                            them on fetch, detecting torn/corrupt blocks\n"
     "  --trace=<file>            write a Chrome trace-event JSON timeline\n"
     "                            (chrome://tracing, Perfetto): phase spans\n"
-    "                            with per-phase I/O deltas, worker threads as\n"
-    "                            their own tracks. Tracing never changes\n"
-    "                            triangles, emission order, or block I/Os\n"
+    "                            with per-phase I/O deltas. Tracing never\n"
+    "                            changes triangles, emission order, or block\n"
+    "                            I/Os\n"
     "  --metrics-json=<file>     write the full structured report as JSON:\n"
     "                            build info, per-query measurements, phase\n"
     "                            attribution, and I/O latency histograms\n"
@@ -148,7 +143,6 @@ struct Options {
   std::size_t limit = 20;
   em::StorageKind backend = em::StorageKind::kMemory;
   std::string temp_dir;
-  std::size_t threads = 1;
   simd::KernelMode kernels = simd::KernelMode::kAuto;
   std::string faults;
   int io_retries = 4;
@@ -226,8 +220,6 @@ Options ParseOptions(int argc, char** argv, bool query_mode = false) {
       }
     } else if (key == "temp-dir") {
       opt.temp_dir = value;
-    } else if (key == "threads") {
-      opt.threads = ParseU64(key, value);
     } else if (key == "kernels") {
       if (!simd::ParseKernelMode(value, &opt.kernels)) {
         Die("--kernels must be auto, scalar, swar, or avx2, got '" + value +
@@ -473,7 +465,6 @@ void PrintMeasurements(const query::QueryResult& r, std::size_t num_edges,
   double bound =
       core::PaghSilvestriIoBound(num_edges, memory_words, block_words);
   double lower = core::IoLowerBound(r.triangles, memory_words, block_words);
-  std::printf("threads = %zu\n", r.threads_used);
   std::printf("kernels = %s\n",
               simd::KernelVariantName(simd::ActiveVariant()));
   std::printf("seed = %llu\n", static_cast<unsigned long long>(r.seed_used));
@@ -556,7 +547,6 @@ void WriteResultJson(obs::JsonWriter& w, const query::QueryResult& r,
   const double bound =
       core::PaghSilvestriIoBound(num_edges, memory_words, block_words);
   const double lower = core::IoLowerBound(r.triangles, memory_words, block_words);
-  w.KV("threads", static_cast<std::uint64_t>(r.threads_used));
   w.KV("kernels", simd::KernelVariantName(simd::ActiveVariant()));
   w.KV("seed", r.seed_used);
   w.KV("triangles", r.triangles);
@@ -829,7 +819,6 @@ int CmdRun(const Options& opt, bool enumerate) {
   query::Query q;
   q.kind = enumerate ? query::QueryKind::kEnumerate : query::QueryKind::kCount;
   q.algo = opt.algo;
-  q.threads = opt.threads;
   std::fprintf(stderr, "[run] %s with M=%zu words, B=%zu words (cold cache)\n",
                opt.algo.c_str(), opt.memory_words, opt.block_words);
   Result<query::QueryResult> rr = lg.Run(q);
@@ -895,9 +884,9 @@ struct ScriptQuery {
   std::size_t limit;  // payload print cap for this query
 };
 
-/// Parses one script line: `<kind> [--algo=] [--seed=] [--limit=]
-/// [--threads=]`. Defaults come from the command-line options, so a script
-/// only states what differs per query.
+/// Parses one script line: `<kind> [--algo=] [--seed=] [--limit=]`.
+/// Defaults come from the command-line options, so a script only states
+/// what differs per query.
 ScriptQuery ParseScriptLine(const std::string& line, std::size_t line_no,
                             const Options& opt) {
   std::vector<std::string> toks;
@@ -912,7 +901,6 @@ ScriptQuery ParseScriptLine(const std::string& line, std::size_t line_no,
 
   ScriptQuery sq;
   sq.q.algo = opt.algo;
-  sq.q.threads = opt.threads;
   sq.limit = opt.limit;
   sq.q.kind = ParseKind(toks[0], line_no);
   for (std::size_t i = 1; i < toks.size(); ++i) {
@@ -930,11 +918,9 @@ ScriptQuery ParseScriptLine(const std::string& line, std::size_t line_no,
       sq.q.seed = ParseU64(key, value);
     } else if (key == "limit") {
       sq.limit = ParseU64(key, value);
-    } else if (key == "threads") {
-      sq.q.threads = ParseU64(key, value);
     } else {
       Die("script line " + std::to_string(line_no) + ": unknown option --" +
-          key + " (allowed: --algo, --seed, --limit, --threads)");
+          key + " (allowed: --algo, --seed, --limit)");
     }
   }
   if (core::FindAlgorithm(sq.q.algo) == nullptr) {
